@@ -105,6 +105,16 @@ def _require(config: ExperimentConfig, name: str):
     return value
 
 
+def _positive(config: ExperimentConfig, name: str, default: int) -> int:
+    """The integer field ``name``, or ``default`` when it is unset; 0 is not unset."""
+    value = getattr(config, name)
+    if value is None:
+        return default
+    if not isinstance(value, int) or value < 1:
+        raise CliError(name, "must be an integer >= 1")
+    return value
+
+
 def _build_chain(obj, path: str) -> FrequencyChain:
     data = _parse_json_flag(obj, path)
     if not isinstance(data, dict):
@@ -163,9 +173,7 @@ def build_potential(descriptor, seed: int, path: str = "potential") -> Potential
 def _energy_grid(config: ExperimentConfig) -> list[float]:
     emin = _require(config, "energy_min")
     emax = _require(config, "energy_max")
-    points = config.energy_points or 101
-    if points < 1:
-        raise CliError("energy_points", "must be >= 1")
+    points = _positive(config, "energy_points", 101)
     if points == 1:
         return [emin]
     if emax < emin:
@@ -272,7 +280,7 @@ def cmd_synth(config: ExperimentConfig) -> int:
 def cmd_detect_frequency(config: ExperimentConfig) -> int:
     pot = build_potential(_require(config, "potential"), config.seed)
     qs = _parse_int_list(_require(config, "q"), "q")
-    window = config.window or 4096
+    window = _positive(config, "window", 4096)
     rows = []
     for q in qs:
         coeff = bohr_coefficient(pot, q, window)
@@ -306,7 +314,7 @@ def cmd_quotient(config: ExperimentConfig) -> int:
         qmap = quotient(source, target)
     except ValueError as exc:
         raise CliError("target", str(exc)) from None
-    depth = config.depth or min(4, len(target.prefix))
+    depth = _positive(config, "depth", min(4, len(target.prefix)))
     _write_json(
         {
             "config_hash": config.config_hash(),
@@ -335,13 +343,13 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
 
 def cmd_ids(config: ExperimentConfig) -> int:
     pot = build_potential(_require(config, "potential"), config.seed)
+    if config.out is None:
+        raise CliError("out", "ids writes a CSV file; pass --out")
     grid = _energy_grid(config)
-    size = config.size or 10_000
+    size = _positive(config, "size", 10_000)
     window = [pot(i) for i in range(1, size + 1)]
     counts = _sweep(lambda e: eigenvalue_count(window, e), grid, config.threads)
     values = [c / size for c in counts]
-    if config.out is None:
-        raise CliError("out", "ids writes a CSV file; pass --out")
     chash = config.config_hash()
     _write_csv(("E", "ids"), zip(grid, values), config.out, chash)
     report = log_holder_report(IDSCurve(tuple(grid), tuple(values)))
@@ -361,7 +369,7 @@ def cmd_ids(config: ExperimentConfig) -> int:
 def cmd_lyapunov(config: ExperimentConfig) -> int:
     pot = build_potential(_require(config, "potential"), config.seed)
     grid = _energy_grid(config)
-    size = config.size or 100_000
+    size = _positive(config, "size", 100_000)
     values = _sweep(lambda e: lyapunov_estimate(pot, e, size), grid, config.threads)
     rows = [(e, v, size) for e, v in zip(grid, values)]
     _write_csv(("E", "lyapunov", "N"), rows, config.out, config.config_hash())
@@ -388,7 +396,7 @@ def cmd_gordon(config: ExperimentConfig) -> int:
 
 def cmd_condition_a(config: ExperimentConfig) -> int:
     chain = _build_chain(_require(config, "chain"), "chain")
-    depth = config.depth or 8
+    depth = _positive(config, "depth", 8)
     try:
         report = condition_a_check(chain, depth)
     except ValueError as exc:

@@ -5,11 +5,15 @@ potential is the sampling function read along a translation orbit.  All series
 evaluations carry certified absolute tails: the stored layers are exact, and
 ``residual_bound`` bounds the sup-norm of whatever the tower truncates away.
 
-Two explicit families are built in.  The sawtooth tower sums
-``(k mod n_j) / n_j**3`` over levels (wire kind "remark"), and the distance
-tower sums ``2**-(j+1) * [k mod n_j != 0]`` (wire kind "metric"), which is the
-distance from the k-th orbit point to the identity and generates a potential
-whose hull is the full group.
+Every layered potential is stored the same way, as a ``SamplingFunction``
+read along an orbit together with its certified per-level tails.  Two explicit
+families are built in.  The sawtooth tower sums ``(k mod n_j) / n_j**3`` over
+levels (wire kind "remark"), and the distance tower sums
+``2**-(j+1) * [k mod n_j != 0]`` (wire kind "metric"), which is the distance
+from the k-th orbit point to the identity and generates a potential whose hull
+is the full group.  Explicit towers carry the wire kind "layers".  These three
+kinds are only labels for manifests and the CLI; evaluation never branches on
+which of them a potential has.
 """
 
 import math
@@ -91,21 +95,7 @@ def sample(
     f: SamplingFunction, omega: ProcyclicElement, k: int, n: int, tol: float
 ) -> float:
     """The potential value ``f(omega + n*k)`` with certified absolute error below tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if f.residual_bound >= tol:
-        raise ValueError(
-            f"tower tail {f.residual_bound} cannot certify tolerance {tol}"
-        )
-    if omega.chain != f.chain:
-        raise ValueError("element lives over a different chain")
-    if omega.level < f.depth:
-        raise ValueError(f"element level {omega.level} below tower depth {f.depth}")
-    shift = n * k
-    return sum(
-        layer.values[(omega.residues[j] + shift) % layer.period]
-        for j, layer in enumerate(f.layers)
-    )
+    return sampled_potential(f, omega, k, tol)(n)
 
 
 def periodize(f: SamplingFunction, level: int) -> SamplingFunction:
@@ -224,40 +214,39 @@ def metric_sampling(chain: FrequencyChain, depth: int) -> SamplingFunction:
 class Potential:
     """A two-sided sequence ``n -> V(n)`` with certified evaluation error and sup bound.
 
-    ``kind`` selects the evaluation path and matches the manifest wire names:
-    "remark" (sawtooth tower), "metric" (distance tower), "layers" (explicit
-    tower read along an orbit), "periodic" (one explicit period), "iid"
-    (seeded noise, for negative controls).
+    ``kind`` matches the manifest wire names: "remark" (sawtooth tower),
+    "metric" (distance tower), "layers" (explicit tower), "periodic" (one
+    explicit period), "iid" (seeded noise, for negative controls).  The three
+    tower kinds share one representation: ``sampling`` read at orbit index
+    ``base + n * generator``, with ``tails[l - 1]`` the certified tail of the
+    level-l approximant for l in ``1..depth``.
     """
 
     kind: str
     tol: float
     sup_bound: float
     period: Optional[int] = None
-    chain: Optional[FrequencyChain] = None
-    depth: Optional[int] = None
     base: int = 0
     generator: int = 1
     sampling: Optional[SamplingFunction] = None
+    tails: tuple[float, ...] = ()
     values: Optional[tuple[float, ...]] = None
     seed: Optional[int] = None
     low: float = 0.0
     high: float = 1.0
 
+    @property
+    def chain(self) -> Optional[FrequencyChain]:
+        return self.sampling.chain if self.sampling is not None else None
+
+    @property
+    def depth(self) -> Optional[int]:
+        return self.sampling.depth if self.sampling is not None else None
+
     def value(self, n: int) -> float:
         if self.kind == "periodic":
             return self.values[n % self.period]
-        if self.kind == "remark":
-            k = self.base + n * self.generator
-            return sum((k % m) / m**3 for m in self.chain.terms(self.depth))
-        if self.kind == "metric":
-            k = self.base + n * self.generator
-            total = 0.0
-            for j, m in enumerate(self.chain.terms(self.depth), start=1):
-                if k % m != 0:
-                    total += 2.0 ** -(j + 1)
-            return total
-        if self.kind == "layers":
+        if self.sampling is not None:
             k = self.base + n * self.generator
             return sum(layer.values[k % layer.period] for layer in self.sampling.layers)
         if self.kind == "iid":
@@ -268,58 +257,48 @@ class Potential:
 
     __call__ = value
 
-    def _layer_sups(self, level: int) -> list[float]:
-        if self.kind == "remark":
-            return [(m - 1) / m**3 for m in self.chain.terms(level)]
-        if self.kind == "metric":
-            return [2.0 ** -(j + 1) for j in range(1, level + 1)]
-        if self.kind == "layers":
-            return [layer.sup_norm() for layer in self.sampling.layers[:level]]
-        raise ValueError(f"potential kind {self.kind!r} has no layer structure")
+    def _check_level(self, level: int) -> None:
+        if self.sampling is None:
+            raise ValueError(f"potential kind {self.kind!r} has no layer structure")
+        if not 1 <= level <= self.sampling.depth:
+            raise ValueError(f"level {level} outside the tower levels 1..{self.sampling.depth}")
 
     def level_tail(self, level: int) -> float:
         """Certified ``sup_n |V(n) - V_level(n)|`` for the level-``level`` approximant."""
-        if self.kind == "remark":
-            return float(sawtooth_tail(self.chain, level))
-        if self.kind == "metric":
-            return 2.0**-level
-        if self.kind == "layers":
-            if level > self.sampling.depth:
-                raise ValueError(f"tower depth {self.sampling.depth} below level {level}")
-            return self.sampling.tail_bound(level)
-        raise ValueError(f"potential kind {self.kind!r} has no layer structure")
+        self._check_level(level)
+        return self.tails[level - 1]
 
     def level_values(self, level: int) -> list[float]:
         """One period of the level-``level`` periodic approximant along this orbit."""
-        moduli = self.chain.terms(level)
-        n_level = moduli[-1]
-        if n_level > _LAYER_PERIOD_GUARD:
-            raise ValueError(f"period {n_level} too large to materialize")
-        period = n_level // math.gcd(n_level, self.generator)
+        self._check_level(level)
+        layers = self.sampling.layers[:level]
+        n_level = layers[-1].period
         out = []
-        if self.kind == "layers":
-            if level > self.sampling.depth:
-                raise ValueError(f"tower depth {self.sampling.depth} below level {level}")
-            layers = self.sampling.layers[:level]
-            for n in range(period):
-                k = self.base + n * self.generator
-                out.append(sum(layer.values[k % layer.period] for layer in layers))
-            return out
-        for n in range(period):
+        for n in range(n_level // math.gcd(n_level, self.generator)):
             k = self.base + n * self.generator
-            if self.kind == "remark":
-                out.append(sum((k % m) / m**3 for m in moduli))
-            elif self.kind == "metric":
-                out.append(
-                    sum(
-                        2.0 ** -(j + 1)
-                        for j, m in enumerate(moduli, start=1)
-                        if k % m != 0
-                    )
-                )
-            else:
-                raise ValueError(f"potential kind {self.kind!r} has no layer structure")
+            out.append(sum(layer.values[k % layer.period] for layer in layers))
         return out
+
+
+def _tower_potential(
+    kind: str,
+    f: SamplingFunction,
+    base: int,
+    generator: int,
+    tail: Callable[[int], float],
+) -> Potential:
+    """Read ``f`` at orbit index ``base + n * generator``; ``tail(l)`` certifies level l."""
+    n_depth = f.layers[-1].period if f.layers else 1
+    return Potential(
+        kind=kind,
+        tol=f.residual_bound,
+        sup_bound=f.sup_bound(),
+        period=n_depth // math.gcd(n_depth, generator),
+        base=base,
+        generator=generator,
+        sampling=f,
+        tails=tuple(tail(level) for level in range(1, f.depth + 1)),
+    )
 
 
 def periodic_potential(values: Sequence[float]) -> Potential:
@@ -340,18 +319,12 @@ def sawtooth_potential(
 ) -> Potential:
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    tail = float(sawtooth_tail(chain, depth))
-    sup = sum((m - 1) / m**3 for m in chain.terms(depth)) + tail
-    n_depth = chain.nth_term(depth)
-    return Potential(
-        kind="remark",
-        tol=tail,
-        sup_bound=sup,
-        period=n_depth // math.gcd(n_depth, generator),
-        chain=chain,
-        depth=depth,
-        base=base,
-        generator=generator,
+    return _tower_potential(
+        "remark",
+        sawtooth_sampling(chain, depth),
+        base,
+        generator,
+        lambda level: float(sawtooth_tail(chain, level)),
     )
 
 
@@ -360,18 +333,8 @@ def metric_potential(
 ) -> Potential:
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    tail = 2.0**-depth
-    sup = sum(2.0 ** -(j + 1) for j in range(1, depth + 1)) + tail
-    n_depth = chain.nth_term(depth)
-    return Potential(
-        kind="metric",
-        tol=tail,
-        sup_bound=sup,
-        period=n_depth // math.gcd(n_depth, generator),
-        chain=chain,
-        depth=depth,
-        base=base,
-        generator=generator,
+    return _tower_potential(
+        "metric", metric_sampling(chain, depth), base, generator, lambda level: 2.0**-level
     )
 
 
@@ -388,18 +351,7 @@ def sampled_potential(
     if omega.level < f.depth:
         raise ValueError(f"base point level {omega.level} below tower depth {f.depth}")
     base = omega.residues[f.depth - 1] if f.depth else 0
-    n_depth = f.chain.nth_term(f.depth) if f.depth else 1
-    return Potential(
-        kind="layers",
-        tol=f.residual_bound,
-        sup_bound=f.sup_bound(),
-        period=n_depth // math.gcd(n_depth, k) if k else None,
-        chain=f.chain,
-        depth=f.depth,
-        base=base,
-        generator=k,
-        sampling=f,
-    )
+    return _tower_potential("layers", f, base, k, f.tail_bound)
 
 
 def iid_uniform_potential(seed: int, low: float = 0.0, high: float = 1.0) -> Potential:

@@ -264,3 +264,45 @@ def test_seed_validation(capsys):
     code, _, err = run(capsys, "classify", "--chain", DYADIC, "--chain-b", DYADIC, "--seed", "-1")
     assert code == 2
     assert "seed" in err
+
+
+PERIODIC = '{"kind":"periodic","values":[0.5,-0.5]}'
+
+
+@pytest.mark.parametrize("kind, descriptor", [("iid", '{"kind":"iid"}'), ("periodic", PERIODIC)])
+def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
+    code, _, err = run(capsys, "spectrum", "--potential", descriptor, "--level", "1")
+    assert code == 2
+    assert err == f"error: potential: potential kind '{kind}' has no layer structure\n"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("ids", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1",
+          "--energy-points", "0"), "energy_points"),
+        (("ids", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1",
+          "--size", "0"), "size"),
+        (("lyapunov", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1",
+          "--size", "0"), "size"),
+        (("detect-frequency", "--potential", REMARK, "--q", "1,2", "--window", "0"), "window"),
+        (("condition-a", "--chain", DYADIC, "--depth", "0"), "depth"),
+        (("quotient", "--chain", DYADIC, "--target", '{"prefix":[2,4]}', "--depth", "0"), "depth"),
+    ],
+)
+def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"error: {field}:")
+
+
+def test_ids_checks_out_before_computing(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("ids swept before checking --out")
+
+    monkeypatch.setattr("limitper.cli.eigenvalue_count", fail)
+    code, _, err = run(
+        capsys, "ids", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1"
+    )
+    assert code == 2
+    assert err.startswith("error: out:")

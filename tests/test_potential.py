@@ -293,3 +293,32 @@ def test_iid_potential_is_deterministic():
     assert [a(n) for n in range(-5, 5)] == [b(n) for n in range(-5, 5)]
     assert iid_uniform_potential(43)(0) != a(0)
     assert all(0.0 <= a(n) <= 1.0 for n in range(100))
+
+
+TOWER_CHAINS = (DYADIC, chain_make([1, 3], [2]), chain_make([2, 6], [2, 3]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(TOWER_CHAINS),
+    st.integers(1, 10),
+    st.integers(-10**6, 10**6),
+    st.integers(-50, 50),
+    st.integers(-300, 300),
+)
+def test_tower_kinds_agree_with_closed_forms(chain, depth, base, generator, n):
+    remark = sawtooth_potential(chain, depth, base, generator)
+    met = metric_potential(chain, depth, base, generator)
+    f = sawtooth_sampling(chain, depth)
+    omega = ProcyclicElement.from_int(chain, depth, base)
+    stored = sampled_potential(f, omega, generator, 2 * f.residual_bound)
+    k = base + n * generator
+    assert remark(n).hex() == sawtooth_value(chain, depth, k).value.hex()
+    assert met(n).hex() == float(metric_value(chain, depth, k)[0]).hex()
+    assert stored(n).hex() == remark(n).hex()
+    for pot in (remark, met, stored):
+        for level in (0, -1, depth + 1):
+            with pytest.raises(ValueError):
+                pot.level_values(level)
+            with pytest.raises(ValueError):
+                pot.level_tail(level)
