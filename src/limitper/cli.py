@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
@@ -52,7 +51,6 @@ class ExperimentConfig:
 
     command: str = ""
     seed: int = 0
-    threads: int = 1
     out: Optional[str] = None
     chain: Optional[dict] = None
     chain_b: Optional[dict] = None
@@ -110,8 +108,8 @@ def _positive(config: ExperimentConfig, name: str, default: int) -> int:
     value = getattr(config, name)
     if value is None:
         return default
-    if not isinstance(value, int) or value < 1:
-        raise CliError(name, "must be an integer >= 1")
+    if value < 1:
+        raise CliError(name, "must be >= 1")
     return value
 
 
@@ -174,10 +172,10 @@ def _energy_grid(config: ExperimentConfig) -> list[float]:
     emin = _require(config, "energy_min")
     emax = _require(config, "energy_max")
     points = _positive(config, "energy_points", 101)
-    if points == 1:
-        return [emin]
     if emax < emin:
         raise CliError("energy_max", "must be >= energy_min")
+    if points == 1:
+        return [emin]
     return [emin + (emax - emin) * i / (points - 1) for i in range(points)]
 
 
@@ -211,13 +209,6 @@ def _write_csv(header: Sequence[str], rows, out: Optional[str], config_hash: str
     finally:
         if out:
             target.close()
-
-
-def _sweep(fn, grid: list[float], threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, grid))
-    return [fn(e) for e in grid]
 
 
 def cmd_classify(config: ExperimentConfig) -> int:
@@ -331,6 +322,8 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
     pot = build_potential(_require(config, "potential"), config.seed)
     level = _require(config, "level")
     tol = config.tol if config.tol is not None else 1e-9
+    if not 0.0 < tol < math.inf:
+        raise CliError("tol", "must be a positive finite number")
     try:
         approx = spectrum_approx(pot, level, tol)
     except ValueError as exc:
@@ -348,11 +341,10 @@ def cmd_ids(config: ExperimentConfig) -> int:
     grid = _energy_grid(config)
     size = _positive(config, "size", 10_000)
     window = [pot(i) for i in range(1, size + 1)]
-    counts = _sweep(lambda e: eigenvalue_count(window, e), grid, config.threads)
-    values = [c / size for c in counts]
+    curve = IDSCurve(tuple(grid), tuple(eigenvalue_count(window, e) / size for e in grid))
     chash = config.config_hash()
-    _write_csv(("E", "ids"), zip(grid, values), config.out, chash)
-    report = log_holder_report(IDSCurve(tuple(grid), tuple(values)))
+    _write_csv(("E", "ids"), zip(curve.energies, curve.values), config.out, chash)
+    report = log_holder_report(curve)
     _write_json(
         {
             "config_hash": chash,
@@ -370,8 +362,7 @@ def cmd_lyapunov(config: ExperimentConfig) -> int:
     pot = build_potential(_require(config, "potential"), config.seed)
     grid = _energy_grid(config)
     size = _positive(config, "size", 100_000)
-    values = _sweep(lambda e: lyapunov_estimate(pot, e, size), grid, config.threads)
-    rows = [(e, v, size) for e, v in zip(grid, values)]
+    rows = [(e, lyapunov_estimate(pot, e, size), size) for e in grid]
     _write_csv(("E", "lyapunov", "N"), rows, config.out, config.config_hash())
     return 0
 
@@ -436,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file; overrides flags")
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         for flag in flags:
             kind = _FLAG_TYPES[flag]
             p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=kind, default=None)
@@ -456,6 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _FLAG_TYPES = {
+    "seed": int,
     "chain": str,
     "chain_b": str,
     "target": str,
@@ -474,6 +465,25 @@ _FLAG_TYPES = {
     "energy_max": float,
     "energy_points": int,
 }
+
+
+def _typed(name: str, value):
+    """``value`` if it fits the type of config field ``name``, else a CliError.
+
+    Integer fields take an int that is not a bool; number fields an int or a
+    float, returned as float so a flag and a file give the same config; JSON
+    fields their text or the parsed value; ``out`` a path.
+    """
+    kind = _FLAG_TYPES.get(name)  # None only for out
+    expected, ok = {
+        int: ("an integer", type(value) is int),
+        float: ("a number", type(value) in (int, float)),
+        str: ("JSON text or a parsed JSON value", isinstance(value, (str, dict, list))),
+        None: ("a path", isinstance(value, str)),
+    }[kind]
+    if not ok:
+        raise CliError(name, f"expected {expected}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -497,15 +507,14 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             if key not in field_names or key == "command":
                 raise CliError(f"config.{key}", "unknown config field")
             resolved[key] = value
+    for name, value in resolved.items():
+        if name != "command" and value is not None:
+            resolved[name] = _typed(name, value)
     config = ExperimentConfig(**resolved)
     if config.seed is None:
         config.seed = 0
     if not 0 <= config.seed < 2**64:
         raise CliError("seed", "must fit in an unsigned 64-bit integer")
-    if config.threads is None:
-        config.threads = 1
-    if config.threads < 1:
-        raise CliError("threads", "must be >= 1")
     if config.q is not None:
         config.q = _parse_int_list(config.q, "q")
     return config

@@ -3,10 +3,12 @@
 Transfer-matrix products are rescaled at norm 2**512 with an accumulated
 log-scale, so Lyapunov exponents are computed overflow-free.  Periodic spectra
 come from the discriminant (trace of the one-period transfer matrix): the
-spectrum is exactly ``{E : |Delta(E)| <= 2}`` and band edges are localized by a
-sign scan plus bisection, which stays stable where explicit polynomial
-coefficients would not.  The integrated density of states uses the symmetric
-tridiagonal inertia count, O(N) per energy with integer-valued counts.
+spectrum is exactly ``{E : |Delta(E)| <= 2}``.  Each band is bracketed by two
+neighbouring Dirichlet eigenvalues (one per gap, found by Sturm count) and its
+edges are localized by bisection on Delta, which stays stable where explicit
+polynomial coefficients would not.  The integrated density of states uses the
+symmetric tridiagonal inertia count, O(N) per energy with integer-valued
+counts.
 """
 
 import math
@@ -175,92 +177,70 @@ def hausdorff_dist(a: BandSet, b: BandSet) -> float:
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
 
-def _hidden_gap_anchor(delta, lo: float, hi: float, rounds: int = 4) -> float | None:
-    """Search [lo, hi] for a point with |Delta| > 2 around a local extremum.
+def _bisect(side: Callable[[float], int], lo: float, hi: float, width: float = 0.0) -> float:
+    """Halve ``[lo, hi]`` towards a target point and return the last midpoint.
 
-    The bracket contains at most one extremum of the discriminant, so repeated
-    subdivision around the extreme sample converges on it; a gap narrower than
-    the final resolution is indistinguishable from a tangency and ignored.
+    ``side(x)`` is negative left of the target, positive right of it, and 0 on
+    it, which ends the search at x.  Otherwise the search runs until the
+    bracket is at most ``width`` wide or cannot be split in floating point.
     """
-    for _ in range(rounds):
-        step = (hi - lo) / 48
-        if step == 0.0:
+    while hi - lo > width:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
             break
-        samples = [lo + k * step for k in range(49)]
-        values = [delta(e) for e in samples]
-        best = max(range(49), key=lambda k: abs(values[k]))
-        if abs(values[best]) > 2.0:
-            return samples[best]
-        lo = samples[max(best - 1, 0)]
-        hi = samples[min(best + 1, 48)]
-    return None
+        s = side(mid)
+        if s == 0:
+            return mid
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
     """Spectrum ``{E : |Delta(E)| <= 2}`` of a periodic potential as a BandSet.
 
-    A sign scan on a grid of 16p points per unit interval over
-    ``[-2 - ||V||, 2 + ||V||]`` brackets each band edge, then bisection on
-    |Delta| - 2 localizes it to width ``tol``.  Gaps narrower than the grid
-    spacing hide inside in-band runs at a local extremum of the discriminant;
-    those extrema (at most p - 1, far apart at grid scale) are hunted down and
-    inserted as extra out-of-band points before edges are resolved.  Bands
-    separated by less than ``tol`` (touching bands at a double root) merge.
+    Interlacing fixes one bracket per band.  The Dirichlet eigenvalues
+    mu_1 < ... < mu_{p-1} of sites 0..p-2 (zeros of the lower-left monodromy
+    entry) lie one in the closure of each gap, so with the outer fences
+    ``-(3 + ||V||)`` and ``3 + ||V||`` band j is the only part of
+    ``[mu_{j-1}, mu_j]`` where |Delta| <= 2.  Right of it Delta has the sign
+    ``(-1)**(p - j)``, left of it the opposite sign, so bisection on that sign
+    finds a point inside the band, and bisection on |Delta| <= 2 from that
+    point out to each fence finds its edges to width ``tol``.  The fences are
+    bisected with the Sturm count to float resolution: a fence off by ``tol``
+    could sit inside a neighbouring band.  Every band is found; bands
+    separated by less than ``tol`` (a closed gap) merge into one interval.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     vals = _period_values(v_period)
     p = len(vals)
-    sup = max(abs(v) for v in vals)
-    lo_edge, hi_edge = -2.0 - sup, 2.0 + sup
-    npts = max(2, math.ceil((hi_edge - lo_edge) * 16 * p) + 1)
-    grid = [lo_edge + (hi_edge - lo_edge) * i / (npts - 1) for i in range(npts)]
-    delta = lambda e: discriminant(vals, e)
-    values = [delta(e) for e in grid]
-    points = [(e, abs(v) <= 2.0) for e, v in zip(grid, values)]
+    outer = 3.0 + max(abs(v) for v in vals)
+    dirichlet = vals[:-1]
+    fences = [-outer]
+    for k in range(1, p):
+        above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
+        fences.append(_bisect(above, -outer, outer))
+    fences.append(outer)
 
-    anchors = []
-    for i in range(1, npts - 1):
-        if not (points[i - 1][1] and points[i][1] and points[i + 1][1]):
-            continue
-        if (values[i] - values[i - 1]) * (values[i + 1] - values[i]) <= 0.0:
-            found = _hidden_gap_anchor(delta, grid[i - 1], grid[i + 1])
-            if found is not None:
-                anchors.append((found, False))
-    if anchors:
-        points = sorted(points + anchors)
-
-    def bisect_edge(e_out: float, e_in: float) -> float:
-        for _ in range(200):
-            if abs(e_in - e_out) <= tol:
-                break
-            mid = (e_out + e_in) / 2.0
-            if abs(delta(mid)) <= 2.0:
-                e_in = mid
-            else:
-                e_out = mid
-        return (e_out + e_in) / 2.0
-
-    raw: list[tuple[float, float]] = []
-    i = 0
-    total = len(points)
-    while i < total:
-        if not points[i][1]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < total and points[j + 1][1]:
-            j += 1
-        left = points[i][0] if i == 0 else bisect_edge(points[i - 1][0], points[i][0])
-        right = points[j][0] if j == total - 1 else bisect_edge(points[j + 1][0], points[j][0])
-        raw.append((left, right))
-        i = j + 1
     merged: list[list[float]] = []
-    for lo, hi in raw:
-        if merged and lo - merged[-1][1] < tol:
-            merged[-1][1] = max(merged[-1][1], hi)
+    for j in range(1, p + 1):
+        right_sign = (-1) ** (p - j)  # sign of Delta right of band j
+
+        def side(e: float) -> int:
+            d = discriminant(vals, e)
+            return 0 if abs(d) <= 2.0 else (1 if d * right_sign > 0.0 else -1)
+
+        lo, hi = fences[j - 1], fences[j]
+        seed = _bisect(side, lo, hi)
+        left = _bisect(lambda e: side(e) or 1, lo, seed, tol)
+        right = _bisect(lambda e: side(e) or -1, seed, hi, tol)
+        if merged and left - merged[-1][1] < tol:
+            merged[-1][1] = max(merged[-1][1], right)
         else:
-            merged.append([lo, hi])
+            merged.append([left, right])
     return BandSet(tuple((lo, hi) for lo, hi in merged))
 
 

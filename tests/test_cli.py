@@ -183,19 +183,6 @@ def test_lyapunov_csv(tmp_path, capsys):
     assert row[2] == "20000"
 
 
-def test_threads_do_not_change_results(tmp_path, capsys):
-    rows = {}
-    for threads in ("1", "3"):
-        out = tmp_path / f"ids{threads}.csv"
-        run(
-            capsys, "ids", "--potential", '{"kind":"periodic","values":[0.5,-0.5]}',
-            "--energy-min", "-2", "--energy-max", "2", "--energy-points", "9",
-            "--size", "1000", "--out", str(out), "--threads", threads,
-        )
-        rows[threads] = out.read_text().splitlines()[1:]  # hash line differs by config
-    assert rows["1"] == rows["3"]
-
-
 def test_spectrum_command(capsys):
     code, out, _ = run(capsys, "spectrum", "--potential", REMARK, "--level", "2")
     assert code == 0
@@ -288,6 +275,8 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("detect-frequency", "--potential", REMARK, "--q", "1,2", "--window", "0"), "window"),
         (("condition-a", "--chain", DYADIC, "--depth", "0"), "depth"),
         (("quotient", "--chain", DYADIC, "--target", '{"prefix":[2,4]}', "--depth", "0"), "depth"),
+        (("spectrum", "--potential", REMARK, "--level", "2", "--tol", "0"), "tol"),
+        (("spectrum", "--potential", REMARK, "--level", "2", "--tol", "-1"), "tol"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
@@ -306,3 +295,60 @@ def test_ids_checks_out_before_computing(capsys, monkeypatch):
     )
     assert code == 2
     assert err.startswith("error: out:")
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (("spectrum", "--potential", REMARK), "level", "3"),
+        (("spectrum", "--potential", REMARK, "--level", "2"), "tol", "1e-9"),
+        (("orbit", "--chain", DYADIC, "--level", "3", "--steps", "4"), "k", 1.5),
+        (("orbit", "--chain", DYADIC, "--k", "3", "--level", "3"), "steps", True),
+        (("lyapunov", "--potential", PERIODIC, "--energy-max", "1"), "energy_min", "-1"),
+        (("lyapunov", "--potential", PERIODIC, "--energy-min", "-1"), "energy_max", None),
+        (("ids", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1"),
+         "energy_points", 2.0),
+        (("ids", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1"),
+         "size", "10"),
+        (("detect-frequency", "--potential", REMARK, "--q", "1,2"), "window", [4096]),
+        (("synth", "--potential", REMARK, "--nmax", "2"), "nmin", "-2"),
+        (("synth", "--potential", REMARK, "--nmin", "-2"), "nmax", False),
+        (("condition-a", "--chain", DYADIC), "depth", "6"),
+        (("gordon", "--potential", PERIODIC), "q", 4),
+        (("classify", "--chain-b", DYADIC), "chain", 2),
+        (("synth", "--nmin", "0", "--nmax", "1"), "potential", True),
+        (("classify", "--chain", DYADIC, "--chain-b", DYADIC), "seed", "7"),
+        (("classify", "--chain", DYADIC, "--chain-b", DYADIC), "out", {"path": "x"}),
+    ],
+)
+def test_config_file_values_are_type_checked(tmp_path, capsys, argv, field, value):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({field: value}))
+    out = () if field == "out" else ("--out", str(tmp_path / "out"))
+    code, _, err = run(capsys, *argv, *out, "--config", str(conf))
+    assert code == 2
+    if value is None:  # null leaves the field unset
+        assert err == f"error: {field}: required for this command\n"
+    else:
+        assert err.startswith(f"error: {field}: expected ")
+
+
+def test_config_file_ints_are_numbers(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"energy_min": -1, "energy_max": 1}))
+    argv = ("lyapunov", "--potential", PERIODIC, "--energy-points", "3", "--size", "10")
+    out = tmp_path / "lyap.csv"
+    files = []
+    for extra in (("--config", str(conf)), ("--energy-min", "-1", "--energy-max", "1")):
+        assert run(capsys, *argv, "--out", str(out), *extra)[0] == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]  # same resolved config, same hash and rows
+
+
+def test_single_energy_point_still_checks_range(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "ids", "--potential", PERIODIC, "--energy-min", "1", "--energy-max", "-1",
+        "--energy-points", "1", "--out", str(tmp_path / "ids.csv"),
+    )
+    assert code == 2
+    assert err.startswith("error: energy_max:")

@@ -165,6 +165,47 @@ def test_bands_containment_and_count():
         bands([0.0], tol=0.0)
 
 
+@pytest.fixture(scope="module")
+def dyadic_spectra():
+    """Band sets of the dyadic sawtooth tower at levels 4..8 (p = 16..256)."""
+    pot = sawtooth_potential(chain_make([2], [2]), 8)
+    return {level: spectrum_approx(pot, level, 1e-9) for level in range(4, 9)}
+
+
+@pytest.mark.parametrize("level", [7, 8])
+def test_bands_finds_every_open_gap(dyadic_spectra, level):
+    # gaps 1 and p - 1 are open but narrow here; a grid scan used to miss them
+    assert len(dyadic_spectra[level].band_set.intervals) == 2**level
+
+
+def _numpy_bands(np, vals):
+    """Band edges of a period from the periodic (phase 0) and antiperiodic
+    (phase pi) eigenvalues of the p x p Jacobi matrix, touching bands merged."""
+    p = len(vals)
+    edges = []
+    for corner in (1.0, -1.0):
+        h = np.diag(np.array(vals, dtype=float)) + np.eye(p, k=1) + np.eye(p, k=-1)
+        h[0, p - 1] += corner
+        h[p - 1, 0] += corner
+        edges.extend(np.linalg.eigvalsh(h))
+    edges.sort()
+    merged = []
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return BandSet(tuple((float(lo), float(hi)) for lo, hi in merged))
+
+
+@pytest.mark.parametrize("level", [4, 5, 6, 7, 8])
+def test_bands_match_numpy_eigenvalue_oracle(dyadic_spectra, level):
+    np = pytest.importorskip("numpy")
+    approx = dyadic_spectra[level]
+    vals = sawtooth_potential(chain_make([2], [2]), 8).level_values(level)
+    assert hausdorff_dist(approx.band_set, _numpy_bands(np, vals)) <= 10 * 1e-9
+
+
 def test_band_set_validation_and_measure():
     assert measure_estimate(BandSet(((-2.0, 2.0),))) == 4.0
     with pytest.raises(ValueError):
