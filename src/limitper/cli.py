@@ -322,8 +322,8 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
     pot = build_potential(_require(config, "potential"), config.seed)
     level = _require(config, "level")
     tol = config.tol if config.tol is not None else 1e-9
-    if not 0.0 < tol < math.inf:
-        raise CliError("tol", "must be a positive finite number")
+    if tol <= 0.0:
+        raise CliError("tol", "must be positive")
     try:
         approx = spectrum_approx(pot, level, tol)
     except ValueError as exc:
@@ -470,14 +470,16 @@ _FLAG_TYPES = {
 def _typed(name: str, value):
     """``value`` if it fits the type of config field ``name``, else a CliError.
 
-    Integer fields take an int that is not a bool; number fields an int or a
-    float, returned as float so a flag and a file give the same config; JSON
+    Integer fields take an int that is not a bool; number fields a finite int
+    or float, returned as float so a flag and a file give the same config; JSON
     fields their text or the parsed value; ``out`` a path.
     """
     kind = _FLAG_TYPES.get(name)  # None only for out
+    # abs(value) <= float max compares exactly, so a huge int cannot overflow here.
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
     expected, ok = {
         int: ("an integer", type(value) is int),
-        float: ("a number", type(value) in (int, float)),
+        float: ("a finite number", finite),
         str: ("JSON text or a parsed JSON value", isinstance(value, (str, dict, list))),
         None: ("a path", isinstance(value, str)),
     }[kind]

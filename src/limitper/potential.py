@@ -11,9 +11,10 @@ families are built in.  The sawtooth tower sums ``(k mod n_j) / n_j**3`` over
 levels (wire kind "remark"), and the distance tower sums
 ``2**-(j+1) * [k mod n_j != 0]`` (wire kind "metric"), which is the distance
 from the k-th orbit point to the identity and generates a potential whose hull
-is the full group.  Explicit towers carry the wire kind "layers".  These three
-kinds are only labels for manifests and the CLI; evaluation never branches on
-which of them a potential has.
+is the full group.  Explicit towers carry the wire kind "layers".  A tower of
+finite depth is exactly periodic along its orbit, so every finite-period kind
+(the three towers and "periodic") is read from one stored period of length
+``pot.period``, and evaluation never branches on which kind a potential has.
 """
 
 import math
@@ -42,9 +43,6 @@ class PeriodicLayer:
 
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.values)
-
-    def value_at(self, n: int) -> float:
-        return self.values[n % self.period]
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,6 @@ class SamplingFunction:
 
     def sup_bound(self) -> float:
         return self.tail_bound(0)
-
-    def value_at(self, omega: ProcyclicElement) -> float:
-        """Evaluate the stored tower at a group element (layer j reads residue x_j)."""
-        if omega.chain != self.chain:
-            raise ValueError("element lives over a different chain")
-        if omega.level < self.depth:
-            raise ValueError(f"element level {omega.level} below tower depth {self.depth}")
-        return sum(
-            layer.values[omega.residues[j]] for j, layer in enumerate(self.layers)
-        )
 
 
 def sample(
@@ -219,13 +207,14 @@ class Potential:
     explicit period), "iid" (seeded noise, for negative controls).  The three
     tower kinds share one representation: ``sampling`` read at orbit index
     ``base + n * generator``, with ``tails[l - 1]`` the certified tail of the
-    level-l approximant for l in ``1..depth``.
+    level-l approximant for l in ``1..depth``.  Every kind but "iid" stores
+    one period in ``values`` (a tower's orbit, read once) and V(n) is
+    ``values[n % period]``.
     """
 
     kind: str
     tol: float
     sup_bound: float
-    period: Optional[int] = None
     base: int = 0
     generator: int = 1
     sampling: Optional[SamplingFunction] = None
@@ -243,12 +232,13 @@ class Potential:
     def depth(self) -> Optional[int]:
         return self.sampling.depth if self.sampling is not None else None
 
+    @property
+    def period(self) -> Optional[int]:
+        return len(self.values) if self.values is not None else None
+
     def value(self, n: int) -> float:
-        if self.kind == "periodic":
-            return self.values[n % self.period]
-        if self.sampling is not None:
-            k = self.base + n * self.generator
-            return sum(layer.values[k % layer.period] for layer in self.sampling.layers)
+        if self.values is not None:
+            return self.values[n % len(self.values)]
         if self.kind == "iid":
             return self.low + (self.high - self.low) * random.Random(
                 f"{self.seed}:{n}"
@@ -271,13 +261,23 @@ class Potential:
     def level_values(self, level: int) -> list[float]:
         """One period of the level-``level`` periodic approximant along this orbit."""
         self._check_level(level)
-        layers = self.sampling.layers[:level]
-        n_level = layers[-1].period
-        out = []
-        for n in range(n_level // math.gcd(n_level, self.generator)):
-            k = self.base + n * self.generator
-            out.append(sum(layer.values[k % layer.period] for layer in layers))
-        return out
+        return _orbit_table(self.sampling.layers[:level], self.base, self.generator)
+
+
+def _orbit_table(layers: Sequence[PeriodicLayer], base: int, generator: int) -> list[float]:
+    """One period of ``n -> sum of the layers at base + n * generator``, in layer order.
+
+    Chain entries divide, so each level's orbit period divides the next and its
+    table tiles the next one: the cost is the sum of the orbit periods.
+    """
+    table = [0.0]
+    for layer in layers:
+        n, vals, prev = layer.period, layer.values, len(table)
+        table = [
+            table[i % prev] + vals[(base + i * generator) % n]
+            for i in range(n // math.gcd(n, generator))
+        ]
+    return table
 
 
 def _tower_potential(
@@ -288,16 +288,15 @@ def _tower_potential(
     tail: Callable[[int], float],
 ) -> Potential:
     """Read ``f`` at orbit index ``base + n * generator``; ``tail(l)`` certifies level l."""
-    n_depth = f.layers[-1].period if f.layers else 1
     return Potential(
         kind=kind,
         tol=f.residual_bound,
         sup_bound=f.sup_bound(),
-        period=n_depth // math.gcd(n_depth, generator),
         base=base,
         generator=generator,
         sampling=f,
         tails=tuple(tail(level) for level in range(1, f.depth + 1)),
+        values=tuple(_orbit_table(f.layers, base, generator)),
     )
 
 
@@ -309,7 +308,6 @@ def periodic_potential(values: Sequence[float]) -> Potential:
         kind="periodic",
         tol=0.0,
         sup_bound=max(abs(v) for v in vals),
-        period=len(vals),
         values=vals,
     )
 

@@ -217,6 +217,8 @@ def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
         raise ValueError("tol must be positive")
     vals = _period_values(v_period)
     p = len(vals)
+    # A layer is converted once here; discriminant reads its values as they are.
+    layer = PeriodicLayer(p, vals)
     outer = 3.0 + max(abs(v) for v in vals)
     dirichlet = vals[:-1]
     fences = [-outer]
@@ -230,7 +232,7 @@ def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
         right_sign = (-1) ** (p - j)  # sign of Delta right of band j
 
         def side(e: float) -> int:
-            d = discriminant(vals, e)
+            d = discriminant(layer, e)
             return 0 if abs(d) <= 2.0 else (1 if d * right_sign > 0.0 else -1)
 
         lo, hi = fences[j - 1], fences[j]
@@ -270,9 +272,7 @@ def eigenvalue_count(values: Sequence[float], E: float) -> int:
 
 def ids(V: Callable[[int], float], E: float, N: int = 10_000) -> float:
     """Integrated density of states at E from the N-site Dirichlet truncation."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return eigenvalue_count([V(i) for i in range(1, N + 1)], E) / N
+    return ids_curve(V, (E,), N).values[0]
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,8 @@ class IDSCurve:
 
 def ids_curve(V: Callable[[int], float], energies: Sequence[float], N: int = 10_000) -> IDSCurve:
     """IDS sampled on an ascending grid; the potential window is built once."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     window = [V(i) for i in range(1, N + 1)]
     grid = tuple(float(e) for e in energies)
     vals = tuple(eigenvalue_count(window, e) / N for e in grid)

@@ -277,6 +277,9 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("quotient", "--chain", DYADIC, "--target", '{"prefix":[2,4]}', "--depth", "0"), "depth"),
         (("spectrum", "--potential", REMARK, "--level", "2", "--tol", "0"), "tol"),
         (("spectrum", "--potential", REMARK, "--level", "2", "--tol", "-1"), "tol"),
+        (("spectrum", "--potential", REMARK, "--level", "2", "--tol", "inf"), "tol"),
+        (("lyapunov", "--potential", PERIODIC, "--energy-min", "nan", "--energy-max", "1"),
+         "energy_min"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
@@ -319,6 +322,9 @@ def test_ids_checks_out_before_computing(capsys, monkeypatch):
         (("synth", "--nmin", "0", "--nmax", "1"), "potential", True),
         (("classify", "--chain", DYADIC, "--chain-b", DYADIC), "seed", "7"),
         (("classify", "--chain", DYADIC, "--chain-b", DYADIC), "out", {"path": "x"}),
+        pytest.param(("spectrum", "--potential", REMARK, "--level", "2"), "tol", 10**400,
+                     id="argv17-tol-huge-int"),
+        (("lyapunov", "--potential", PERIODIC, "--energy-max", "1"), "energy_min", math.inf),
     ],
 )
 def test_config_file_values_are_type_checked(tmp_path, capsys, argv, field, value):

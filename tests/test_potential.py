@@ -322,3 +322,12 @@ def test_tower_kinds_agree_with_closed_forms(chain, depth, base, generator, n):
                 pot.level_values(level)
             with pytest.raises(ValueError):
                 pot.level_tail(level)
+    for level in range(1, depth + 1):
+        remark_table, met_table = remark.level_values(level), met.level_values(level)
+        expected = sawtooth_value(chain, level, k).value
+        assert remark_table[n % len(remark_table)].hex() == expected.hex()
+        expected = float(metric_value(chain, level, k)[0])
+        assert met_table[n % len(met_table)].hex() == expected.hex()
+    for pot in (remark, met, stored):
+        assert pot(n + pot.period) == pot(n)
+        assert len(pot.level_values(depth)) == pot.period
