@@ -1,10 +1,12 @@
 """Command-line driver for reproducible experiments.
 
-Every run resolves to an explicit config (defaults, then flags, then config
-file, the file winning) whose canonical-JSON sha256 is embedded in every
-output file, so outputs are byte-reproducible from the config alone.  CSV
-files carry the hash as a leading ``# config_hash=...`` comment line; JSON
-outputs carry a ``config_hash`` field.
+Each subcommand declares its fields and their defaults once, in ``_COMMANDS``;
+``_FIELDS`` gives every field's type and range.  A run resolves to an explicit
+config (flags, then the config file, the file winning, then the defaults)
+whose canonical-JSON sha256 is embedded in every output file, so outputs are
+byte-reproducible from the config alone.  CSV files carry the hash as a
+leading ``# config_hash=...`` comment line; JSON outputs carry a
+``config_hash`` field.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .frequency import FrequencyChain, hulls_isomorphic, maximal_chain, bohr_coefficient
@@ -45,37 +47,74 @@ class CliError(Exception):
         self.path = path
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully resolved run parameters; identical configs produce identical bytes."""
+class ExperimentConfig(SimpleNamespace):
+    """Fully resolved run: the command and every field it takes, defaults included.
 
-    command: str = ""
-    seed: int = 0
-    out: Optional[str] = None
-    chain: Optional[dict] = None
-    chain_b: Optional[dict] = None
-    target: Optional[dict] = None
-    potential: Optional[dict] = None
-    level: Optional[int] = None
-    size: Optional[int] = None
-    tol: Optional[float] = None
-    depth: Optional[int] = None
-    energy_min: Optional[float] = None
-    energy_max: Optional[float] = None
-    energy_points: Optional[int] = None
-    q: Optional[list[int]] = None
-    window: Optional[int] = None
-    steps: Optional[int] = None
-    k: Optional[int] = None
-    nmin: Optional[int] = None
-    nmax: Optional[int] = None
+    Identical configs produce identical bytes.
+    """
 
     def to_dict(self) -> dict:
-        return {key: val for key, val in asdict(self).items() if val is not None}
+        return {key: val for key, val in vars(self).items() if val is not None}
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# kind: (parser of the flag text, what a value must be, the type test)
+_KINDS = {
+    "int": (int, "an integer", lambda v: type(v) is int),
+    # abs(v) <= float max compares exactly, so a huge int cannot overflow here.
+    "number": (float, "a finite number",
+               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "json": (str, "JSON text or a parsed JSON value", lambda v: isinstance(v, (str, dict, list))),
+    "ints": (str, "comma-separated integers or a list of integers",
+             lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
+    "path": (str, "a path", lambda v: isinstance(v, str) and v != ""),
+}
+
+_COUNT = (lambda v: v >= 1, ">= 1")
+
+# field: (kind, range as (test, text) or None); an "ints" range holds for every entry
+_FIELDS = {
+    "seed": ("int", (lambda v: 0 <= v < 2**64, "in 0..2**64-1")),
+    "out": ("path", None),
+    "chain": ("json", None),
+    "chain_b": ("json", None),
+    "target": ("json", None),
+    "potential": ("json", None),
+    "q": ("ints", _COUNT),
+    "depth": ("int", _COUNT),
+    "level": ("int", _COUNT),
+    "size": ("int", _COUNT),
+    "window": ("int", _COUNT),
+    "energy_points": ("int", _COUNT),
+    "steps": ("int", (lambda v: v >= 0, ">= 0")),
+    "k": ("int", None),
+    "nmin": ("int", None),
+    "nmax": ("int", None),
+    "tol": ("number", (lambda v: v > 0, "> 0")),
+    "energy_min": ("number", None),
+    "energy_max": ("number", None),
+}
+
+
+def _typed(path: str, kind: str, value):
+    """``value`` if it fits ``kind``, else a CliError naming ``path``.
+
+    An int is an int that is not a bool; a number a finite int or float,
+    returned as float so a flag and a file give the same config; JSON its text
+    or the parsed value; an int list comma-separated text or a list of ints.
+    """
+    if kind == "ints" and isinstance(value, str):
+        try:
+            value = [int(part) for part in value.split(",") if part.strip()]
+        except ValueError:
+            pass  # the text is reported below
+    _, expected, fits = _KINDS[kind]
+    if not fits(value):
+        raise CliError(path, f"expected {expected}, got {json.dumps(value)}")
+    return float(value) if kind == "number" else value
 
 
 def _parse_json_flag(text, path: str):
@@ -85,32 +124,6 @@ def _parse_json_flag(text, path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(path, f"invalid JSON ({exc})") from None
-
-
-def _parse_int_list(text, path: str) -> list[int]:
-    if isinstance(text, list):
-        return [int(x) for x in text]
-    try:
-        return [int(part) for part in str(text).split(",") if part.strip()]
-    except ValueError:
-        raise CliError(path, f"expected comma-separated integers, got {text!r}") from None
-
-
-def _require(config: ExperimentConfig, name: str):
-    value = getattr(config, name)
-    if value is None:
-        raise CliError(name, "required for this command")
-    return value
-
-
-def _positive(config: ExperimentConfig, name: str, default: int) -> int:
-    """The integer field ``name``, or ``default`` when it is unset; 0 is not unset."""
-    value = getattr(config, name)
-    if value is None:
-        return default
-    if value < 1:
-        raise CliError(name, "must be >= 1")
-    return value
 
 
 def _build_chain(obj, path: str) -> FrequencyChain:
@@ -128,52 +141,62 @@ def build_potential(descriptor, seed: int, path: str = "potential") -> Potential
     data = _parse_json_flag(descriptor, path)
     if not isinstance(data, dict):
         raise CliError(path, "expected a potential object")
+
+    def get(name: str, kind: str, default):
+        return _typed(f"{path}.{name}", kind, data[name]) if name in data else default
+
+    def numbers(obj: dict, where: str) -> list[float]:
+        values = obj.get("values")
+        if not isinstance(values, list) or not values:
+            raise CliError(f"{where}.values", "expected a nonempty list of numbers")
+        return [_typed(f"{where}.values[{i}]", "number", v) for i, v in enumerate(values)]
+
     kind = data.get("kind")
     try:
         if kind in ("remark", "metric"):
             chain = _build_chain(data.get("chain"), f"{path}.chain")
-            depth = int(data.get("depth", 8))
-            base = int(data.get("base", 0))
-            generator = int(data.get("generator", 1))
             make = sawtooth_potential if kind == "remark" else metric_potential
-            return make(chain, depth, base, generator)
+            return make(
+                chain,
+                get("depth", "int", 8),
+                get("base", "int", 0),
+                get("generator", "int", 1),
+            )
         if kind == "layers":
             chain = _build_chain(data.get("chain"), f"{path}.chain")
             raw_layers = data.get("layers")
             if not isinstance(raw_layers, list) or not raw_layers:
                 raise CliError(f"{path}.layers", "expected a nonempty list of layers")
-            layers = tuple(
-                PeriodicLayer(int(entry["period"]), tuple(entry["values"]))
-                for entry in raw_layers
-            )
-            f = SamplingFunction(chain, layers, float(data.get("residual_bound", 0.0)))
-            omega = ProcyclicElement.from_int(chain, f.depth, int(data.get("base", 0)))
-            tol = float(data.get("tol", 1e-9))
-            return sampled_potential(f, omega, int(data.get("generator", 1)), tol)
+            layers = []
+            for i, entry in enumerate(raw_layers):
+                where = f"{path}.layers[{i}]"
+                if not isinstance(entry, dict):
+                    raise CliError(where, "expected a layer object with period and values")
+                period = _typed(f"{where}.period", "int", entry.get("period"))
+                layers.append(PeriodicLayer(period, tuple(numbers(entry, where))))
+            f = SamplingFunction(chain, tuple(layers), get("residual_bound", "number", 0.0))
+            omega = ProcyclicElement.from_int(chain, f.depth, get("base", "int", 0))
+            tol = get("tol", "number", 1e-9)
+            return sampled_potential(f, omega, get("generator", "int", 1), tol)
         if kind == "periodic":
-            values = data.get("values")
-            if not isinstance(values, list) or not values:
-                raise CliError(f"{path}.values", "expected a nonempty list of numbers")
-            return periodic_potential(values)
+            return periodic_potential(numbers(data, path))
         if kind == "iid":
             return iid_uniform_potential(
-                int(data.get("seed", seed)),
-                float(data.get("low", 0.0)),
-                float(data.get("high", 1.0)),
+                get("seed", "int", seed),
+                get("low", "number", 0.0),
+                get("high", "number", 1.0),
             )
-    except CliError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(path, str(exc)) from None
     raise CliError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
 def _energy_grid(config: ExperimentConfig) -> list[float]:
-    emin = _require(config, "energy_min")
-    emax = _require(config, "energy_max")
-    points = _positive(config, "energy_points", 101)
+    emin, emax, points = config.energy_min, config.energy_max, config.energy_points
     if emax < emin:
         raise CliError("energy_max", "must be >= energy_min")
+    if math.isinf(emax - emin):
+        raise CliError("energy_max", "energy_max - energy_min must be a finite number")
     if points == 1:
         return [emin]
     return [emin + (emax - emin) * i / (points - 1) for i in range(points)]
@@ -212,8 +235,8 @@ def _write_csv(header: Sequence[str], rows, out: Optional[str], config_hash: str
 
 
 def cmd_classify(config: ExperimentConfig) -> int:
-    a = _build_chain(_require(config, "chain"), "chain")
-    b = _build_chain(_require(config, "chain_b"), "chain_b")
+    a = _build_chain(config.chain, "chain")
+    b = _build_chain(config.chain_b, "chain_b")
     comparison = hulls_isomorphic(a, b)
     cert = comparison.to_json_dict()
     out = {
@@ -230,7 +253,7 @@ def cmd_classify(config: ExperimentConfig) -> int:
 
 
 def cmd_maximal_chain(config: ExperimentConfig) -> int:
-    chain = _build_chain(_require(config, "chain"), "chain")
+    chain = _build_chain(config.chain, "chain")
     try:
         refined = maximal_chain(chain, config.depth)
     except ValueError as exc:
@@ -243,11 +266,8 @@ def cmd_maximal_chain(config: ExperimentConfig) -> int:
 
 
 def cmd_synth(config: ExperimentConfig) -> int:
-    pot = build_potential(_require(config, "potential"), config.seed)
-    if config.out is None:
-        raise CliError("out", "synth writes a CSV file; pass --out")
-    nmin = config.nmin if config.nmin is not None else -16
-    nmax = config.nmax if config.nmax is not None else 16
+    pot = build_potential(config.potential, config.seed)
+    nmin, nmax = config.nmin, config.nmax
     if nmax < nmin:
         raise CliError("nmax", "must be >= nmin")
     rows = [(n, pot(n)) for n in range(nmin, nmax + 1)]
@@ -269,27 +289,27 @@ def cmd_synth(config: ExperimentConfig) -> int:
 
 
 def cmd_detect_frequency(config: ExperimentConfig) -> int:
-    pot = build_potential(_require(config, "potential"), config.seed)
-    qs = _parse_int_list(_require(config, "q"), "q")
-    window = _positive(config, "window", 4096)
-    rows = []
-    for q in qs:
-        coeff = bohr_coefficient(pot, q, window)
-        rows.append((q, coeff.real, coeff.imag, abs(coeff)))
+    pot = build_potential(config.potential, config.seed)
+    try:
+        coeffs = [(q, bohr_coefficient(pot, q, config.window)) for q in config.q]
+    except ValueError as exc:  # the window is shorter than some q
+        raise CliError("window", str(exc)) from None
+    rows = [(q, c.real, c.imag, abs(c)) for q, c in coeffs]
     _write_csv(("q", "re", "im", "magnitude"), rows, config.out, config.config_hash())
     return 0
 
 
 def cmd_orbit(config: ExperimentConfig) -> int:
-    chain = _build_chain(_require(config, "chain"), "chain")
-    k = _require(config, "k")
-    level = _require(config, "level")
-    steps = _require(config, "steps")
-    residues = orbit_residues(chain, k, level, steps)
+    chain = _build_chain(config.chain, "chain")
+    try:
+        modulus = chain.nth_term(config.level)
+    except ValueError as exc:
+        raise CliError("level", str(exc)) from None
+    residues = orbit_residues(chain, config.k, config.level, config.steps)
     _write_json(
         {
             "config_hash": config.config_hash(),
-            "modulus": chain.nth_term(level),
+            "modulus": modulus,
             "residues": residues,
             "distinct": len(set(residues)),
         },
@@ -299,19 +319,23 @@ def cmd_orbit(config: ExperimentConfig) -> int:
 
 
 def cmd_quotient(config: ExperimentConfig) -> int:
-    source = _build_chain(_require(config, "chain"), "chain")
-    target = _build_chain(_require(config, "target"), "target")
+    source = _build_chain(config.chain, "chain")
+    target = _build_chain(config.target, "target")
     try:
         qmap = quotient(source, target)
     except ValueError as exc:
         raise CliError("target", str(exc)) from None
-    depth = _positive(config, "depth", min(4, len(target.prefix)))
+    depth = config.depth if config.depth is not None else min(4, len(target.prefix))
+    try:
+        alignment = qmap.alignment(depth)
+    except ValueError as exc:
+        raise CliError("depth", str(exc)) from None
     _write_json(
         {
             "config_hash": config.config_hash(),
             "order_source": source.limit().format(),
             "order_target": target.limit().format(),
-            "alignment": [list(pair) for pair in qmap.alignment(depth)],
+            "alignment": [list(pair) for pair in alignment],
         },
         config.out,
     )
@@ -319,13 +343,9 @@ def cmd_quotient(config: ExperimentConfig) -> int:
 
 
 def cmd_spectrum(config: ExperimentConfig) -> int:
-    pot = build_potential(_require(config, "potential"), config.seed)
-    level = _require(config, "level")
-    tol = config.tol if config.tol is not None else 1e-9
-    if tol <= 0.0:
-        raise CliError("tol", "must be positive")
+    pot = build_potential(config.potential, config.seed)
     try:
-        approx = spectrum_approx(pot, level, tol)
+        approx = spectrum_approx(pot, config.level, config.tol)
     except ValueError as exc:
         raise CliError("potential", str(exc)) from None
     out = approx.to_json_dict()
@@ -335,11 +355,9 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
 
 
 def cmd_ids(config: ExperimentConfig) -> int:
-    pot = build_potential(_require(config, "potential"), config.seed)
-    if config.out is None:
-        raise CliError("out", "ids writes a CSV file; pass --out")
+    pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
-    size = _positive(config, "size", 10_000)
+    size = config.size
     window = [pot(i) for i in range(1, size + 1)]
     curve = IDSCurve(tuple(grid), tuple(eigenvalue_count(window, e) / size for e in grid))
     chash = config.config_hash()
@@ -359,19 +377,21 @@ def cmd_ids(config: ExperimentConfig) -> int:
 
 
 def cmd_lyapunov(config: ExperimentConfig) -> int:
-    pot = build_potential(_require(config, "potential"), config.seed)
+    pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
-    size = _positive(config, "size", 100_000)
-    rows = [(e, lyapunov_estimate(pot, e, size), size) for e in grid]
+    size = config.size
+    try:
+        rows = [(e, lyapunov_estimate(pot, e, size), size) for e in grid]
+    except ValueError as exc:  # the transfer product overflowed
+        raise CliError("potential", str(exc)) from None
     _write_csv(("E", "lyapunov", "N"), rows, config.out, config.config_hash())
     return 0
 
 
 def cmd_gordon(config: ExperimentConfig) -> int:
-    pot = build_potential(_require(config, "potential"), config.seed)
-    qs = _parse_int_list(_require(config, "q"), "q")
+    pot = build_potential(config.potential, config.seed)
     try:
-        report = gordon_check(pot, qs)
+        report = gordon_check(pot, config.q)
     except ValueError as exc:
         raise CliError("q", str(exc)) from None
     _write_json(
@@ -386,10 +406,9 @@ def cmd_gordon(config: ExperimentConfig) -> int:
 
 
 def cmd_condition_a(config: ExperimentConfig) -> int:
-    chain = _build_chain(_require(config, "chain"), "chain")
-    depth = _positive(config, "depth", 8)
+    chain = _build_chain(config.chain, "chain")
     try:
-        report = condition_a_check(chain, depth)
+        report = condition_a_check(chain, config.depth)
     except ValueError as exc:
         raise CliError("depth", str(exc)) from None
     out = report._asdict()
@@ -399,18 +418,30 @@ def cmd_condition_a(config: ExperimentConfig) -> int:
     return 0
 
 
+REQUIRED = object()  # the default of a field that has none
+
+
+def _takes(**defaults) -> dict:
+    """A command's fields and defaults; None is unset (or derived by the command)."""
+    return {"seed": 0, "out": None, **defaults}
+
+
+_SWEEP = {"potential": REQUIRED, "energy_min": REQUIRED, "energy_max": REQUIRED,
+          "energy_points": 101}
+
 _COMMANDS = {
-    "classify": cmd_classify,
-    "maximal-chain": cmd_maximal_chain,
-    "synth": cmd_synth,
-    "detect-frequency": cmd_detect_frequency,
-    "orbit": cmd_orbit,
-    "quotient": cmd_quotient,
-    "spectrum": cmd_spectrum,
-    "ids": cmd_ids,
-    "lyapunov": cmd_lyapunov,
-    "gordon": cmd_gordon,
-    "condition-a": cmd_condition_a,
+    "classify": (cmd_classify, _takes(chain=REQUIRED, chain_b=REQUIRED)),
+    "maximal-chain": (cmd_maximal_chain, _takes(chain=REQUIRED, depth=None)),
+    "synth": (cmd_synth, _takes(potential=REQUIRED, nmin=-16, nmax=16, out=REQUIRED)),
+    "detect-frequency":
+        (cmd_detect_frequency, _takes(potential=REQUIRED, q=REQUIRED, window=4096)),
+    "orbit": (cmd_orbit, _takes(chain=REQUIRED, k=REQUIRED, level=REQUIRED, steps=REQUIRED)),
+    "quotient": (cmd_quotient, _takes(chain=REQUIRED, target=REQUIRED, depth=None)),
+    "spectrum": (cmd_spectrum, _takes(potential=REQUIRED, level=REQUIRED, tol=1e-9)),
+    "ids": (cmd_ids, _takes(**_SWEEP, size=10_000, out=REQUIRED)),
+    "lyapunov": (cmd_lyapunov, _takes(**_SWEEP, size=100_000)),
+    "gordon": (cmd_gordon, _takes(potential=REQUIRED, q=REQUIRED)),
+    "condition-a": (cmd_condition_a, _takes(chain=REQUIRED, depth=8)),
 }
 
 
@@ -421,105 +452,50 @@ def _build_parser() -> argparse.ArgumentParser:
         "associated discrete Schrodinger operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *flags: str) -> None:
-        p = sub.add_parser(name)
+    for command, (_, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="JSON config file; overrides flags")
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        for flag in flags:
-            kind = _FLAG_TYPES[flag]
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=kind, default=None)
-
-    add("classify", "chain", "chain_b")
-    add("maximal-chain", "chain", "depth")
-    add("synth", "potential", "nmin", "nmax")
-    add("detect-frequency", "potential", "q", "window")
-    add("orbit", "chain", "k", "level", "steps")
-    add("quotient", "chain", "target", "depth")
-    add("spectrum", "potential", "level", "tol")
-    add("ids", "potential", "energy_min", "energy_max", "energy_points", "size")
-    add("lyapunov", "potential", "energy_min", "energy_max", "energy_points", "size")
-    add("gordon", "potential", "q")
-    add("condition-a", "chain", "depth")
+        for name in defaults:
+            flag_type = _KINDS[_FIELDS[name][0]][0]
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=flag_type, default=None)
     return parser
 
 
-_FLAG_TYPES = {
-    "seed": int,
-    "chain": str,
-    "chain_b": str,
-    "target": str,
-    "potential": str,
-    "q": str,
-    "depth": int,
-    "level": int,
-    "steps": int,
-    "k": int,
-    "size": int,
-    "window": int,
-    "nmin": int,
-    "nmax": int,
-    "tol": float,
-    "energy_min": float,
-    "energy_max": float,
-    "energy_points": int,
-}
-
-
-def _typed(name: str, value):
-    """``value`` if it fits the type of config field ``name``, else a CliError.
-
-    Integer fields take an int that is not a bool; number fields a finite int
-    or float, returned as float so a flag and a file give the same config; JSON
-    fields their text or the parsed value; ``out`` a path.
-    """
-    kind = _FLAG_TYPES.get(name)  # None only for out
-    # abs(value) <= float max compares exactly, so a huge int cannot overflow here.
-    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    expected, ok = {
-        int: ("an integer", type(value) is int),
-        float: ("a finite number", finite),
-        str: ("JSON text or a parsed JSON value", isinstance(value, (str, dict, list))),
-        None: ("a path", isinstance(value, str)),
-    }[kind]
-    if not ok:
-        raise CliError(name, f"expected {expected}, got {json.dumps(value)}")
-    return float(value) if kind is float else value
-
-
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    field_names = {f.name for f in fields(ExperimentConfig)}
-    resolved: dict = {"command": args.command}
-    for name in field_names - {"command"}:
-        value = getattr(args, name, None)
-        if value is not None:
-            resolved[name] = value
+    """Flags, then the config file (which wins), then type, default and range."""
+    defaults = _COMMANDS[args.command][1]
+    values = {name: getattr(args, name) for name in defaults}
     if args.config:
         try:
             with open(args.config) as fh:
                 file_conf = json.load(fh)
         except OSError as exc:
             raise CliError("config", str(exc)) from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError("config", f"invalid JSON ({exc})") from None
         if not isinstance(file_conf, dict):
             raise CliError("config", "config file must hold a JSON object")
-        for key, value in file_conf.items():
-            if key not in field_names or key == "command":
-                raise CliError(f"config.{key}", "unknown config field")
-            resolved[key] = value
-    for name, value in resolved.items():
-        if name != "command" and value is not None:
-            resolved[name] = _typed(name, value)
-    config = ExperimentConfig(**resolved)
-    if config.seed is None:
-        config.seed = 0
-    if not 0 <= config.seed < 2**64:
-        raise CliError("seed", "must fit in an unsigned 64-bit integer")
-    if config.q is not None:
-        config.q = _parse_int_list(config.q, "q")
-    return config
+        for key in file_conf:
+            if key not in defaults:
+                raise CliError(f"config.{key}", f"not a field of {args.command}")
+        values.update(file_conf)  # null leaves a field unset
+    resolved = {"command": args.command}
+    for name, default in defaults.items():
+        kind, bound = _FIELDS[name]
+        value = values[name]
+        if value is not None:
+            value = _typed(name, kind, value)
+        elif default is REQUIRED:
+            raise CliError(name, "required for this command")
+        else:
+            value = default
+        if value is not None and bound is not None:
+            test, text = bound
+            if not all(map(test, value if kind == "ints" else [value])):
+                entry = "every entry " if kind == "ints" else ""
+                raise CliError(name, f"{entry}must be {text}, got {json.dumps(value)}")
+        resolved[name] = value
+    return ExperimentConfig(**resolved)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -527,7 +503,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

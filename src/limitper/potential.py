@@ -208,8 +208,8 @@ class Potential:
     tower kinds share one representation: ``sampling`` read at orbit index
     ``base + n * generator``, with ``tails[l - 1]`` the certified tail of the
     level-l approximant for l in ``1..depth``.  Every kind but "iid" stores
-    one period in ``values`` (a tower's orbit, read once) and V(n) is
-    ``values[n % period]``.
+    one period of finite values in ``values`` (a tower's orbit, read once)
+    and V(n) is ``values[n % period]``.
     """
 
     kind: str
@@ -223,6 +223,10 @@ class Potential:
     seed: Optional[int] = None
     low: float = 0.0
     high: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.values is not None and not all(map(math.isfinite, self.values)):
+            raise ValueError("potential values must be finite")
 
     @property
     def chain(self) -> Optional[FrequencyChain]:
@@ -356,6 +360,8 @@ def iid_uniform_potential(seed: int, low: float = 0.0, high: float = 1.0) -> Pot
     """Seeded uniform noise; deterministic per (seed, n) and order-independent."""
     if high < low:
         raise ValueError("high must be >= low")
+    if not math.isfinite(high - low):
+        raise ValueError("high - low must be finite")
     return Potential(
         kind="iid",
         tol=0.0,

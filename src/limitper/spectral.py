@@ -72,6 +72,8 @@ def transfer_product(
         m11, m12, m21, m22 = a * m11 - m21, a * m12 - m22, m11, m12
         mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
         while mag > _RESCALE:
+            if mag == math.inf:
+                raise ValueError(f"transfer matrix overflowed at site {n}, E = {E!r}")
             m11 /= _RESCALE
             m12 /= _RESCALE
             m21 /= _RESCALE

@@ -2,9 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from limitper import sawtooth_value, chain_make
-from limitper.cli import main
+from limitper.cli import _COMMANDS, _FIELDS, main
 
 DYADIC = '{"prefix":[2],"rule":[2]}'
 TRIADIC = '{"prefix":[3],"rule":[3]}'
@@ -254,6 +255,7 @@ def test_seed_validation(capsys):
 
 
 PERIODIC = '{"kind":"periodic","values":[0.5,-0.5]}'
+TOWER = '{"kind":"remark","chain":{"prefix":[2],"rule":[2]}'  # close with the last field
 
 
 @pytest.mark.parametrize("kind, descriptor", [("iid", '{"kind":"iid"}'), ("periodic", PERIODIC)])
@@ -280,6 +282,24 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("spectrum", "--potential", REMARK, "--level", "2", "--tol", "inf"), "tol"),
         (("lyapunov", "--potential", PERIODIC, "--energy-min", "nan", "--energy-max", "1"),
          "energy_min"),
+        (("orbit", "--chain", DYADIC, "--k", "1", "--level", "0", "--steps", "3"), "level"),
+        (("orbit", "--chain", '{"prefix":[2,4]}', "--k", "1", "--level", "3", "--steps", "2"),
+         "level"),
+        (("quotient", "--chain", DYADIC, "--target", '{"prefix":[2,4]}', "--depth", "5"), "depth"),
+        (("detect-frequency", "--potential", REMARK, "--q", "0"), "q"),
+        (("detect-frequency", "--potential", REMARK, "--q", "2,8", "--window", "4"), "window"),
+        (("lyapunov", "--potential", '{"kind":"periodic","values":[1e200,-1e200]}',
+          "--energy-min", "0", "--energy-max", "0", "--energy-points", "1", "--size", "10"),
+         "potential"),
+        (("synth", "--potential", TOWER + ',"depth":2.7}'), "potential.depth"),
+        (("synth", "--potential", TOWER + ',"base":"3"}'), "potential.base"),
+        (("synth", "--potential", TOWER + ',"depth":true}'), "potential.depth"),
+        (("synth", "--potential", '{"kind":"periodic","values":[0,NaN]}'), "potential.values[1]"),
+        (("synth", "--potential", '{"kind":"periodic","values":[Infinity]}'),
+         "potential.values[0]"),
+        (("synth", "--potential", '{"kind":"periodic","values":[1e999]}'), "potential.values[0]"),
+        (("synth", "--potential", '{"kind":"layers","chain":{"prefix":[1,2]},"layers":'
+          '[{"period":1,"values":[1e308]},{"period":2,"values":[1e308,0]}]}'), "potential"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
@@ -325,6 +345,7 @@ def test_ids_checks_out_before_computing(capsys, monkeypatch):
         pytest.param(("spectrum", "--potential", REMARK, "--level", "2"), "tol", 10**400,
                      id="argv17-tol-huge-int"),
         (("lyapunov", "--potential", PERIODIC, "--energy-max", "1"), "energy_min", math.inf),
+        (("gordon", "--potential", PERIODIC), "q", [[1]]),
     ],
 )
 def test_config_file_values_are_type_checked(tmp_path, capsys, argv, field, value):
@@ -358,3 +379,141 @@ def test_single_energy_point_still_checks_range(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: energy_max:")
+
+
+def test_config_file_rejects_fields_the_command_does_not_take(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"tol": 5.0, "size": 7}))
+    code, _, err = run(
+        capsys, "orbit", "--chain", DYADIC, "--k", "1", "--level", "2", "--steps", "3",
+        "--config", str(conf),
+    )
+    assert code == 2
+    assert err == "error: config.tol: not a field of orbit\n"
+
+
+def test_default_and_explicit_value_give_identical_bytes(tmp_path, capsys):
+    out = tmp_path / "ids.csv"
+    argv = ("ids", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1",
+            "--energy-points", "3", "--out", str(out))
+    files = []
+    for extra in ((), ("--size", "10000")):
+        assert run(capsys, *argv, *extra)[0] == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]  # the default is part of the hashed config
+
+
+# Objects for the chain and potential fields, valid and broken.  Finite chains
+# keep every tower small and the one ruled chain is only read to depth 4
+# (period 16), so every drawn config runs in milliseconds.
+FINITE_CHAINS = [{"prefix": [1, 2, 4]}, {"prefix": [2, 6]}, {"prefix": [3]}]
+RULED_CHAIN = {"prefix": [2], "rule": [2]}
+BROKEN_CHAINS = [{"prefix": [2, 3]}, {"rule": [2]}, {"prefix": []}, {"prefix": [2], "rule": [1]},
+                 {"prefix": ["2"]}, {"prefix": 2}, {}]
+
+small_ints = st.integers(-3, 24)
+floats = st.one_of(st.sampled_from([0.0, 0.5, -2.5, 1e-9, 1e308, -1e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+words = st.text("ab,12-", max_size=4)
+scalars = st.one_of(small_ints, floats, st.booleans(), words, st.none())
+chains = st.sampled_from(FINITE_CHAINS + [RULED_CHAIN]) | st.sampled_from(BROKEN_CHAINS)
+odd = st.sampled_from([2.7, True, "3", None, [1]])
+
+
+def _tower(chain, depth):
+    return st.fixed_dictionaries(
+        {"kind": st.sampled_from(["remark", "metric"]), "chain": chain, "depth": depth | odd},
+        optional={"base": small_ints | odd, "generator": small_ints | odd},
+    )
+
+
+def _layer(j):
+    n = 2**j  # the periods of FINITE_CHAINS[0]
+    return st.fixed_dictionaries({
+        "period": st.just(n) | odd,
+        "values": st.lists(floats, min_size=n, max_size=n) | st.lists(floats, max_size=3) | odd,
+    })
+
+
+potentials = st.one_of(
+    _tower(st.sampled_from(FINITE_CHAINS + BROKEN_CHAINS), st.integers(-3, 10)),
+    _tower(st.just(RULED_CHAIN), st.integers(-3, 4)),
+    st.fixed_dictionaries(
+        {"kind": st.just("layers"), "chain": st.just(FINITE_CHAINS[0]),
+         "layers": st.integers(0, 3).flatmap(
+             lambda d: st.tuples(*(_layer(j) for j in range(d))).map(list)) | odd},
+        optional={"base": small_ints | odd, "generator": small_ints | odd, "tol": floats | odd,
+                  "residual_bound": floats | odd},
+    ),
+    st.fixed_dictionaries({"kind": st.just("periodic"),
+                           "values": st.lists(floats | odd, max_size=4) | odd}),
+    st.fixed_dictionaries({"kind": st.just("iid")},
+                          optional={"seed": small_ints | odd, "low": floats | odd,
+                                    "high": floats | odd}),
+    st.fixed_dictionaries({}, optional={"kind": words | st.none()}),
+)
+
+# Cheap valid flags for every required field; the drawn config file overrides them.
+SMALL = '{"kind":"remark","chain":{"prefix":[2],"rule":[2]},"depth":4}'
+SWEEP = ("--potential", SMALL, "--energy-min", "-1", "--energy-max", "1",
+         "--energy-points", "2", "--size", "8")
+BASE_FLAGS = {
+    "classify": ("--chain", DYADIC, "--chain-b", TRIADIC),
+    "maximal-chain": ("--chain", DYADIC),
+    "synth": ("--potential", SMALL, "--out", "v.csv"),
+    "detect-frequency": ("--potential", SMALL, "--q", "2,4", "--window", "24"),
+    "orbit": ("--chain", '{"prefix":[2,4,8]}', "--k", "3", "--level", "3", "--steps", "4"),
+    "quotient": ("--chain", DYADIC, "--target", '{"prefix":[2,4]}'),
+    "spectrum": ("--potential", SMALL, "--level", "2"),
+    "ids": SWEEP + ("--out", "ids.csv"),
+    "lyapunov": SWEEP,
+    "gordon": ("--potential", SMALL, "--q", "2,4"),
+    "condition-a": ("--chain", DYADIC),
+}
+
+
+def _field_values(name, wild):
+    """Values of the field's type, in its range unless the field is wild."""
+    kind, bound = _FIELDS[name]
+    fits = bound[0] if bound and not wild else (lambda v: True)
+    if kind == "json":
+        objects = potentials if name == "potential" else chains
+        own = objects | objects.map(json.dumps)
+    elif kind == "ints":
+        own = st.lists(small_ints.filter(fits), max_size=4)
+        own = own | own.map(lambda q: ",".join(map(str, q)))
+    else:
+        own = {"int": small_ints, "number": floats, "path": words.filter(bool)}[kind].filter(fits)
+    if not wild:
+        return own
+    if name in ("size", "energy_points", "window"):
+        # null would restore a default of up to 100,000 sites
+        return st.one_of(own, floats, st.booleans(), words, st.lists(small_ints, max_size=2))
+    return st.one_of(own, scalars, st.lists(small_ints, max_size=2), chains)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_file_exits_0_or_2_with_a_field_error(tmp_path, monkeypatch, capsys, data):
+    """ROADMAP item 5 gate: no config file ends in a traceback or exit code 1."""
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    fields = _COMMANDS[command][1]
+    wild = data.draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    conf = data.draw(st.fixed_dictionaries(
+        {}, optional={name: _field_values(name, name in wild) for name in fields}))
+    unknown = None
+    if data.draw(st.integers(0, 4)) == 3:
+        unknown = data.draw(st.sampled_from(sorted(set(_FIELDS) - set(fields)) + ["nmxa"]))
+        conf[unknown] = 1
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    work = tmp_path / "work"
+    work.mkdir(exist_ok=True)
+    monkeypatch.chdir(work)
+    code, _, err = run(capsys, command, *BASE_FLAGS[command], "--config", str(path))
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ")
+    if unknown is not None:
+        assert err.startswith(f"error: config.{unknown}: not a field of {command}")

@@ -331,3 +331,25 @@ def test_tower_kinds_agree_with_closed_forms(chain, depth, base, generator, n):
     for pot in (remark, met, stored):
         assert pot(n + pot.period) == pot(n)
         assert len(pot.level_values(depth)) == pot.period
+
+
+def _layers_summing_past_float_max():
+    chain = chain_make([1, 2])
+    layers = (PeriodicLayer(1, (1e308,)), PeriodicLayer(2, (1e308, 0.0)))
+    omega = ProcyclicElement.from_int(chain, 2, 0)
+    return sampled_potential(SamplingFunction(chain, layers), omega, 1, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: periodic_potential([0.0, math.nan]),
+        lambda: periodic_potential([math.inf]),
+        _layers_summing_past_float_max,  # each layer is finite, their sum at site 0 is not
+        lambda: iid_uniform_potential(0, -1e308, 1e308),
+    ],
+    ids=["periodic-nan", "periodic-inf", "tower-sum-overflow", "iid-width-overflow"],
+)
+def test_potential_values_must_be_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

@@ -20,6 +20,7 @@ from limitper import (
     log_holder_report,
     lyapunov_estimate,
     measure_estimate,
+    periodic_potential,
     sawtooth_potential,
     sawtooth_tail,
     spectrum_approx,
@@ -87,6 +88,12 @@ def test_transfer_rescales_instead_of_overflowing():
     assert (state.log_scale + math.log(state.norm())) / 3000 == pytest.approx(
         math.log(lam), abs=1e-3
     )
+
+
+def test_transfer_overflow_raises_instead_of_spinning():
+    # |E - V(n)| = 1e200 overflows a product that was just rescaled to 2**512
+    with pytest.raises(ValueError, match="overflowed"):
+        lyapunov_estimate(periodic_potential([1e200, -1e200]), 0.0, 10)
 
 
 def test_lyapunov_free_inside_band_vanishes():
