@@ -213,17 +213,24 @@ def _json_safe(obj):
     return obj
 
 
+def _open_out(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:  # an --out path that cannot be written is a bad field
+        raise CliError("out", str(exc)) from None
+
+
 def _write_json(obj: dict, out: Optional[str]) -> None:
     text = json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_csv(header: Sequence[str], rows, out: Optional[str], config_hash: str) -> None:
-    target = open(out, "w", newline="") if out else sys.stdout
+    target = _open_out(out, newline="") if out else sys.stdout
     try:
         target.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(target, lineterminator="\n")

@@ -19,6 +19,7 @@ finite depth is exactly periodic along its orbit, so every finite-period kind
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -69,11 +70,18 @@ class SamplingFunction:
         return len(self.layers)
 
     def tail_bound(self, level: int) -> float:
-        """Certified bound on the sup-norm of everything above ``level``."""
+        """Certified bound on the sup-norm of everything above ``level``.
+
+        The sup norms are summed exactly and the total rounded up, so the
+        float is never below the true sum.
+        """
         if level < 0:
             raise ValueError("level must be >= 0")
-        stored = sum(layer.sup_norm() for layer in self.layers[level:])
-        return stored + self.residual_bound
+        exact = sum(
+            (Fraction(layer.sup_norm()) for layer in self.layers[level:]),
+            Fraction(self.residual_bound),
+        )
+        return _float_up(exact)
 
     def sup_bound(self) -> float:
         return self.tail_bound(0)
@@ -108,6 +116,17 @@ def periodize(f: SamplingFunction, level: int) -> SamplingFunction:
             PeriodicLayer(layer.period, tuple(means[s % n_coarse] for s in range(layer.period)))
         )
     return SamplingFunction(f.chain, tuple(new_layers), f.residual_bound)
+
+
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _float_up(x: Fraction) -> float:
+    """The least float at or above ``x``: a certified bound must not round down."""
+    if x > _FLOAT_MAX:
+        return math.inf
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 class ValueTail(NamedTuple):
@@ -161,7 +180,7 @@ def sawtooth_value(chain: FrequencyChain, depth: int, k: int) -> ValueTail:
     value = 0.0
     for n in chain.terms(depth):
         value += (k % n) / n**3
-    return ValueTail(value, float(sawtooth_tail(chain, depth)))
+    return ValueTail(value, _float_up(sawtooth_tail(chain, depth)))
 
 
 def metric_value(chain: FrequencyChain, depth: int, k: int) -> tuple[Fraction, Fraction]:
@@ -185,7 +204,7 @@ def sawtooth_sampling(chain: FrequencyChain, depth: int) -> SamplingFunction:
         if n > _LAYER_PERIOD_GUARD:
             raise ValueError(f"period {n} too large to materialize")
         layers.append(PeriodicLayer(n, tuple(t / n**3 for t in range(n))))
-    return SamplingFunction(chain, tuple(layers), float(sawtooth_tail(chain, depth)))
+    return SamplingFunction(chain, tuple(layers), _float_up(sawtooth_tail(chain, depth)))
 
 
 def metric_sampling(chain: FrequencyChain, depth: int) -> SamplingFunction:
@@ -326,7 +345,7 @@ def sawtooth_potential(
         sawtooth_sampling(chain, depth),
         base,
         generator,
-        lambda level: float(sawtooth_tail(chain, level)),
+        lambda level: _float_up(sawtooth_tail(chain, level)),
     )
 
 

@@ -3,15 +3,20 @@
 Transfer-matrix products are rescaled at norm 2**512 with an accumulated
 log-scale, so Lyapunov exponents are computed overflow-free.  Periodic spectra
 come from the discriminant (trace of the one-period transfer matrix): the
-spectrum is exactly ``{E : |Delta(E)| <= 2}``.  Each band is bracketed by two
-neighbouring Dirichlet eigenvalues (one per gap, found by Sturm count) and its
-edges are localized by bisection on Delta, which stays stable where explicit
-polynomial coefficients would not.  The integrated density of states uses the
-symmetric tridiagonal inertia count, O(N) per energy with integer-valued
-counts.
+spectrum is exactly ``{E : |Delta(E)| <= 2}``.  Delta runs the two-solution
+recurrence over the period in a plain loop, the same arithmetic as the
+transfer product without its per-step rescale test, and falls back to the
+rescaled product only when one period grows past the rescale threshold.  Each
+band is bracketed by two neighbouring Dirichlet eigenvalues (one per gap),
+found together by multisection on the Sturm count: fences still sharing a
+bracket share each count.  Band edges are localized by bisection on Delta,
+which stays stable where explicit polynomial coefficients would not.  The
+integrated density of states uses the symmetric tridiagonal inertia count,
+O(N) per energy with integer-valued counts.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -20,6 +25,7 @@ from .potential import PeriodicLayer, Potential
 
 _RESCALE = 2.0**512
 _RESCALE_LOG = 512.0 * math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -101,19 +107,42 @@ _PeriodValues = Union[PeriodicLayer, Sequence[float]]
 def _period_values(v: _PeriodValues) -> tuple[float, ...]:
     if isinstance(v, PeriodicLayer):
         return v.values
-    vals = tuple(float(x) for x in v)
+    vals = tuple(map(float, v))
     if not vals:
         raise ValueError("period values must be nonempty")
     return vals
 
 
 def discriminant(v_period: _PeriodValues, E: float) -> float:
-    """Trace of the one-period transfer matrix (a degree-p monic polynomial in E)."""
+    """Trace of the one-period transfer matrix (a degree-p monic polynomial in E).
+
+    The product's columns are two solutions of ``u(n+1) = (E - V(n)) u(n) -
+    u(n-1)``: phi runs down (m11, m21) and theta down (m12, m22), with the same
+    operations in the same order as ``transfer_product``, so the trace
+    ``phi + theta_prev`` is bitwise its value whenever that product never
+    rescales.  A period whose entries end above the rescale threshold (or
+    overflow) is redone by the rescaled product; a trace past the float range
+    comes back as a signed infinity.
+    """
     vals = _period_values(v_period)
-    state = transfer_product(lambda n: vals[n % len(vals)], E, 0, len(vals))
-    # One period never triggers a rescale at desk scales; fold it back if it did.
-    scale = math.exp(state.log_scale) if state.log_scale else 1.0
-    return (state.m11 + state.m22) * scale
+    phi, phi_prev, theta, theta_prev = 1.0, 0.0, 0.0, 1.0
+    for v in vals:
+        a = E - v
+        phi, phi_prev = a * phi - phi_prev, phi
+        theta, theta_prev = a * theta - theta_prev, theta
+    # NaN fails every comparison, so this also catches an overflowed product.
+    if all(abs(m) <= _RESCALE for m in (phi, phi_prev, theta, theta_prev)):
+        return phi + theta_prev
+    state = transfer_product(vals.__getitem__, E, 0, len(vals))
+    trace = state.m11 + state.m22
+    if trace == 0.0:
+        return trace
+    log_mag = math.log(abs(trace)) + state.log_scale
+    if log_mag > _LOG_FLOAT_MAX:
+        return math.copysign(math.inf, trace)
+    if state.log_scale < _LOG_FLOAT_MAX:
+        return trace * math.exp(state.log_scale)
+    return math.copysign(math.exp(log_mag), trace)
 
 
 @dataclass(frozen=True)
@@ -200,6 +229,39 @@ def _bisect(side: Callable[[float], int], lo: float, hi: float, width: float = 0
     return (lo + hi) / 2.0
 
 
+def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
+    """``[-outer, mu_1, ..., mu_{p-1}, outer]`` for the period ``vals``, ``outer = 3 + ||V||``.
+
+    mu_k is where bisection of ``[-outer, outer]`` on "at least k Dirichlet
+    eigenvalues of sites 0..p-2 lie at or below E" ends.  Fences whose
+    bisections have taken the same turns so far share one bracket, so one
+    Sturm count at its midpoint sends fences 1..c left and the rest right.  A
+    fence alone in its bracket is finished by ``_bisect``.  Every fence sees
+    the same midpoints and the same counts as its own bisection from
+    ``[-outer, outer]``, so the fences are bitwise those of p - 1 separate
+    bisections.
+    """
+    p = len(vals)
+    outer = 3.0 + max(abs(v) for v in vals)
+    dirichlet = vals[:-1]
+    fences = [-outer] * p + [outer]
+    stack = [(-outer, outer, 1, p - 1)]  # p = 1: one count, no fence
+    while stack:
+        lo, hi, first, last = stack.pop()
+        mid = (lo + hi) / 2.0
+        if first == last or not lo < mid < hi:
+            for k in range(first, last + 1):
+                above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
+                fences[k] = _bisect(above, lo, hi)
+            continue
+        c = eigenvalue_count(dirichlet, mid)
+        if first <= c:
+            stack.append((lo, mid, first, min(c, last)))
+        if c < last:
+            stack.append((mid, hi, max(c + 1, first), last))
+    return fences
+
+
 def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
     """Spectrum ``{E : |Delta(E)| <= 2}`` of a periodic potential as a BandSet.
 
@@ -211,9 +273,10 @@ def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
     ``(-1)**(p - j)``, left of it the opposite sign, so bisection on that sign
     finds a point inside the band, and bisection on |Delta| <= 2 from that
     point out to each fence finds its edges to width ``tol``.  The fences are
-    bisected with the Sturm count to float resolution: a fence off by ``tol``
-    could sit inside a neighbouring band.  Every band is found; bands
-    separated by less than ``tol`` (a closed gap) merge into one interval.
+    bisected with the Sturm count to float resolution (``_dirichlet_fences``):
+    a fence off by ``tol`` could sit inside a neighbouring band.  Every band is
+    found; bands separated by less than ``tol`` (a closed gap) merge into one
+    interval.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -221,13 +284,7 @@ def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
     p = len(vals)
     # A layer is converted once here; discriminant reads its values as they are.
     layer = PeriodicLayer(p, vals)
-    outer = 3.0 + max(abs(v) for v in vals)
-    dirichlet = vals[:-1]
-    fences = [-outer]
-    for k in range(1, p):
-        above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
-        fences.append(_bisect(above, -outer, outer))
-    fences.append(outer)
+    fences = _dirichlet_fences(vals)
 
     merged: list[list[float]] = []
     for j in range(1, p + 1):
@@ -254,20 +311,17 @@ def eigenvalue_count(values: Sequence[float], E: float) -> int:
     Sturm inertia count on the symmetric tridiagonal matrix with unit
     off-diagonals: negative pivots of ``d_i = (V(i) - E) - 1/d_{i-1}``.  A zero
     pivot means E is exactly an eigenvalue of a leading minor; it is nudged to
-    -1e-300 so the eigenvalue is counted.
+    -1e-300 so the eigenvalue is counted.  The pivot before the first is taken
+    as infinite, so the first pivot is exactly ``V(0) - E``.
     """
     count = 0
-    d = 1.0
-    first = True
+    d = math.inf
     for v in values:
-        if first:
-            d = v - E
-            first = False
-        else:
-            d = (v - E) - 1.0 / d
-        if d == 0.0:
-            d = -1e-300
+        d = (v - E) - 1.0 / d
         if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = -1e-300
             count += 1
     return count
 

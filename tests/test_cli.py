@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -300,10 +301,12 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("synth", "--potential", '{"kind":"periodic","values":[1e999]}'), "potential.values[0]"),
         (("synth", "--potential", '{"kind":"layers","chain":{"prefix":[1,2]},"layers":'
           '[{"period":1,"values":[1e308]},{"period":2,"values":[1e308,0]}]}'), "potential"),
+        (("synth", "--potential", PERIODIC, "--out", os.path.join(os.devnull, "u.csv")), "out"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
-    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    # The default --out comes first, so a case's own --out wins.
+    code, _, err = run(capsys, argv[0], "--out", str(tmp_path / "out"), *argv[1:])
     assert code == 2
     assert err.startswith(f"error: {field}:")
 

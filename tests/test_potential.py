@@ -26,6 +26,8 @@ from limitper import (
     sawtooth_value,
 )
 
+from helpers import random_chain
+
 DYADIC = chain_make([2], [2])
 
 
@@ -68,6 +70,23 @@ def test_sawtooth_tail_certifies_truncation():
         assert worst <= tail + 1e-15
         # and the bound is not vacuous: some point gets close at this scale
         assert worst > tail / 10
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.integers(1, 12))
+def test_certified_tails_never_round_down(seed, level):
+    chain = random_chain(random.Random(seed), entry_cap=10**4)
+    assert Fraction(sawtooth_value(chain, level, 0).tail_bound) >= sawtooth_tail(chain, level)
+    depth = max(d for d in range(1, level + 1) if chain.nth_term(d) <= 10**4)
+    f = sawtooth_sampling(chain, depth)
+    assert Fraction(f.residual_bound) >= sawtooth_tail(chain, depth)
+    pot = sawtooth_potential(chain, depth)
+    omega = ProcyclicElement.from_int(chain, depth, 0)
+    stored = sampled_potential(f, omega, 1, 2 * f.residual_bound)
+    for l in range(1, depth + 1):
+        assert Fraction(pot.level_tail(l)) >= sawtooth_tail(chain, l)
+        layers = sum(Fraction(layer.sup_norm()) for layer in f.layers[l:])
+        assert Fraction(stored.level_tail(l)) >= layers + Fraction(f.residual_bound)
 
 
 def test_metric_value_examples_and_cross_check():
@@ -262,7 +281,9 @@ def test_potential_level_structure():
     pot = sawtooth_potential(DYADIC, 6)
     vals = pot.level_values(2)
     assert vals == [sawtooth_value(DYADIC, 2, n).value for n in range(4)]
-    assert pot.level_tail(2) == float(sawtooth_tail(DYADIC, 2))
+    tail = sawtooth_tail(DYADIC, 2)
+    assert Fraction(float(tail)) < tail  # the nearest float is below: round up
+    assert pot.level_tail(2) == math.nextafter(float(tail), math.inf)
     met = metric_potential(DYADIC, 6)
     assert met.level_values(2) == [float(metric_value(DYADIC, 2, n)[0]) for n in range(4)]
     assert met.level_tail(3) == 0.125

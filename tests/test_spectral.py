@@ -27,6 +27,8 @@ from limitper import (
     transfer_product,
 )
 
+from limitper.spectral import _bisect, _dirichlet_fences
+
 from helpers import exact_transfer
 
 ZERO = lambda n: 0.0
@@ -134,6 +136,85 @@ def test_discriminant_period_two_symbolic_oracle():
         want = (Fraction(E) - Fraction(a)) * (Fraction(E) - Fraction(b)) - 2
         assert m[0] + m[3] == want  # trace really is (E - a)(E - b) - 2
         assert discriminant([a, b], E) == pytest.approx(float(want), abs=1e-12)
+
+
+def test_discriminant_past_float_range_is_signed_infinity():
+    # The one-period product rescales more than once here; the trace itself
+    # is beyond the float range, with the sign of (-1)**p below the spectrum.
+    for p in (655, 1001):
+        assert discriminant([0.0] * p, 3.3) == math.inf
+        assert discriminant([0.0] * p, -3.3) == (-1) ** p * math.inf
+    v = sawtooth_potential(chain_make([2], [2]), depth=10).level_values(10)
+    assert discriminant(v, 3.3) == math.inf
+    assert discriminant(v, -2.7) == math.inf
+
+
+def test_discriminant_after_a_rescale_matches_closed_form():
+    # 2 cosh(p arccosh(E/2)) is about 1e188 at p = 400: finite, but the
+    # product rescales on the way, so the value comes from the rescaled path.
+    want = 2 * math.cosh(400 * math.acosh(1.65))
+    assert discriminant([0.0] * 400, 3.3) == pytest.approx(want, rel=1e-10)
+
+
+# Kernel equivalence: the tight kernels against the loops they replaced.
+_small_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.integers(-16, 16).map(lambda k: k / 4),
+    st.floats(-4, 4, allow_nan=False),
+)
+
+
+def _old_eigenvalue_count(values, E):
+    count = 0
+    d = 1.0
+    first = True
+    for v in values:
+        if first:
+            d = v - E
+            first = False
+        else:
+            d = (v - E) - 1.0 / d
+        if d == 0.0:
+            d = -1e-300
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def _old_fences(vals):
+    outer = 3.0 + max(abs(v) for v in vals)
+    dirichlet = vals[:-1]
+    fences = [-outer]
+    for k in range(1, len(vals)):
+        above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
+        fences.append(_bisect(above, -outer, outer))
+    fences.append(outer)
+    return fences
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_small_values, min_size=1, max_size=64), st.floats(-8, 8, allow_nan=False))
+def test_discriminant_is_the_unrescaled_transfer_trace(vals, E):
+    state = transfer_product(vals.__getitem__, E, 0, len(vals))
+    assert state.log_scale == 0.0  # |E - V| <= 12 over 64 sites stays below 2**512
+    assert discriminant(vals, E).hex() == (state.m11 + state.m22).hex()
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(_small_values, max_size=40),
+    st.one_of(st.integers(-5, 5).map(float), st.floats(-8, 8, allow_nan=False)),
+)
+def test_eigenvalue_count_matches_the_flagged_loop(values, E):
+    # Integer diagonals at integer E hit exact zero pivots, e.g. [1, 1] at 0.
+    assert eigenvalue_count(values, E) == _old_eigenvalue_count(values, E)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_small_values, min_size=1, max_size=8), st.integers(1, 4))
+def test_dirichlet_fences_match_separate_bisections(q, k):
+    vals = tuple(q * k)  # tiled periods: gaps not divisible by k are closed
+    assert [f.hex() for f in _dirichlet_fences(vals)] == [f.hex() for f in _old_fences(vals)]
 
 
 def test_bands_free_potential():
