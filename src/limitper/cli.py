@@ -10,6 +10,7 @@ leading ``# config_hash=...`` comment line; JSON outputs carry a
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -61,7 +62,8 @@ class ExperimentConfig(SimpleNamespace):
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# kind: (parser of the flag text, what a value must be, the type test)
+# kind: (parser of the flag text, what a value must be, the type test); the
+# kinds with no parser only occur in potential and layer objects
 _KINDS = {
     "int": (int, "an integer", lambda v: type(v) is int),
     # abs(v) <= float max compares exactly, so a huge int cannot overflow here.
@@ -71,6 +73,8 @@ _KINDS = {
     "ints": (str, "comma-separated integers or a list of integers",
              lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
     "path": (str, "a path", lambda v: isinstance(v, str) and v != ""),
+    "numbers": (None, "a nonempty list of numbers", lambda v: isinstance(v, list) and v != []),
+    "layers": (None, "a nonempty list of layers", lambda v: isinstance(v, list) and v != []),
 }
 
 _COUNT = (lambda v: v >= 1, ">= 1")
@@ -96,7 +100,18 @@ _FIELDS = {
     "tol": ("number", (lambda v: v > 0, "> 0")),
     "energy_min": ("number", None),
     "energy_max": ("number", None),
+    # fields of potential and layer objects only
+    "base": ("int", None),
+    "generator": ("int", None),
+    "low": ("number", None),
+    "high": ("number", None),
+    "residual_bound": ("number", (lambda v: v >= 0, ">= 0")),
+    "values": ("numbers", None),
+    "layers": ("layers", None),
+    "period": ("int", _COUNT),
 }
+
+REQUIRED = object()  # the default of a field that has none
 
 
 def _typed(path: str, kind: str, value):
@@ -105,6 +120,7 @@ def _typed(path: str, kind: str, value):
     An int is an int that is not a bool; a number a finite int or float,
     returned as float so a flag and a file give the same config; JSON its text
     or the parsed value; an int list comma-separated text or a list of ints.
+    Numbers and layers are typed entry by entry, at ``path[i]``.
     """
     if kind == "ints" and isinstance(value, str):
         try:
@@ -114,7 +130,52 @@ def _typed(path: str, kind: str, value):
     _, expected, fits = _KINDS[kind]
     if not fits(value):
         raise CliError(path, f"expected {expected}, got {json.dumps(value)}")
+    if kind == "numbers":
+        return [_typed(f"{path}[{i}]", "number", v) for i, v in enumerate(value)]
+    if kind == "layers":
+        return [_resolve(f"{path}[{i}]", _LAYER, v, "a layer") for i, v in enumerate(value)]
     return float(value) if kind == "number" else value
+
+
+def _resolve(path: str, fields: dict, values, owner: str) -> dict:
+    """``values`` typed, defaulted and range-checked against ``fields`` (name: default).
+
+    Serves a command (``path`` is "", fields go by their bare names and a key
+    that is not a field can only come from the config file), a potential
+    object and a layer object; ``owner`` names what the fields belong to.
+    """
+    if not isinstance(values, dict):
+        raise CliError(path, f"expected {owner} object")
+    for key in values:
+        if key not in fields:
+            raise CliError(f"{path or 'config'}.{key}", f"not a field of {owner}")
+    resolved = {}
+    for name, default in fields.items():
+        where = f"{path}.{name}" if path else name
+        kind, bound = _FIELDS[name]
+        value = values.get(name)
+        if value is not None:
+            value = _typed(where, kind, value)
+        elif default is REQUIRED:
+            raise CliError(where, f"required for {owner if path else 'this command'}")
+        else:
+            value = default
+        if value is not None and bound is not None:
+            test, text = bound
+            if not all(map(test, value if kind == "ints" else [value])):
+                entry = "every entry " if kind == "ints" else ""
+                raise CliError(where, f"{entry}must be {text}, got {json.dumps(value)}")
+        resolved[name] = value
+    return resolved
+
+
+@contextlib.contextmanager
+def _blame(path: str, *also: type):
+    """Report a ValueError (or an ``also`` error) raised in the block as a bad ``path``."""
+    try:
+        yield
+    except (ValueError, *also) as exc:
+        raise CliError(path, str(exc)) from None
 
 
 def _parse_json_flag(text, path: str):
@@ -130,10 +191,8 @@ def _build_chain(obj, path: str) -> FrequencyChain:
     data = _parse_json_flag(obj, path)
     if not isinstance(data, dict):
         raise CliError(path, "expected a chain object {\"prefix\": [...], \"rule\": [...]}")
-    try:
+    with _blame(path, TypeError):
         return FrequencyChain.from_json_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise CliError(path, str(exc)) from None
 
 
 def build_potential(descriptor, seed: int, path: str = "potential") -> Potential:
@@ -141,54 +200,18 @@ def build_potential(descriptor, seed: int, path: str = "potential") -> Potential
     data = _parse_json_flag(descriptor, path)
     if not isinstance(data, dict):
         raise CliError(path, "expected a potential object")
-
-    def get(name: str, kind: str, default):
-        return _typed(f"{path}.{name}", kind, data[name]) if name in data else default
-
-    def numbers(obj: dict, where: str) -> list[float]:
-        values = obj.get("values")
-        if not isinstance(values, list) or not values:
-            raise CliError(f"{where}.values", "expected a nonempty list of numbers")
-        return [_typed(f"{where}.values[{i}]", "number", v) for i, v in enumerate(values)]
-
     kind = data.get("kind")
-    try:
-        if kind in ("remark", "metric"):
-            chain = _build_chain(data.get("chain"), f"{path}.chain")
-            make = sawtooth_potential if kind == "remark" else metric_potential
-            return make(
-                chain,
-                get("depth", "int", 8),
-                get("base", "int", 0),
-                get("generator", "int", 1),
-            )
-        if kind == "layers":
-            chain = _build_chain(data.get("chain"), f"{path}.chain")
-            raw_layers = data.get("layers")
-            if not isinstance(raw_layers, list) or not raw_layers:
-                raise CliError(f"{path}.layers", "expected a nonempty list of layers")
-            layers = []
-            for i, entry in enumerate(raw_layers):
-                where = f"{path}.layers[{i}]"
-                if not isinstance(entry, dict):
-                    raise CliError(where, "expected a layer object with period and values")
-                period = _typed(f"{where}.period", "int", entry.get("period"))
-                layers.append(PeriodicLayer(period, tuple(numbers(entry, where))))
-            f = SamplingFunction(chain, tuple(layers), get("residual_bound", "number", 0.0))
-            omega = ProcyclicElement.from_int(chain, f.depth, get("base", "int", 0))
-            tol = get("tol", "number", 1e-9)
-            return sampled_potential(f, omega, get("generator", "int", 1), tol)
-        if kind == "periodic":
-            return periodic_potential(numbers(data, path))
-        if kind == "iid":
-            return iid_uniform_potential(
-                get("seed", "int", seed),
-                get("low", "number", 0.0),
-                get("high", "number", 1.0),
-            )
-    except ValueError as exc:
-        raise CliError(path, str(exc)) from None
-    raise CliError(f"{path}.kind", f"unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
+        raise CliError(f"{path}.kind", f"unknown kind {kind!r}")
+    make, fields = _POTENTIALS[kind]
+    if "seed" in fields:  # an object without a seed of its own draws with the run's
+        fields = {**fields, "seed": seed}
+    values = {key: value for key, value in data.items() if key != "kind"}
+    args = _resolve(path, fields, values, f"kind {kind!r}")
+    if "chain" in args:
+        args["chain"] = _build_chain(args["chain"], f"{path}.chain")
+    with _blame(path):
+        return make(**args)
 
 
 def _energy_grid(config: ExperimentConfig) -> list[float]:
@@ -214,10 +237,8 @@ def _json_safe(obj):
 
 
 def _open_out(path: str, **kwargs):
-    try:
+    with _blame("out", OSError):  # an --out path that cannot be written is a bad field
         return open(path, "w", **kwargs)
-    except OSError as exc:  # an --out path that cannot be written is a bad field
-        raise CliError("out", str(exc)) from None
 
 
 def _write_json(obj: dict, out: Optional[str]) -> None:
@@ -261,10 +282,8 @@ def cmd_classify(config: ExperimentConfig) -> int:
 
 def cmd_maximal_chain(config: ExperimentConfig) -> int:
     chain = _build_chain(config.chain, "chain")
-    try:
+    with _blame("depth"):
         refined = maximal_chain(chain, config.depth)
-    except ValueError as exc:
-        raise CliError("depth", str(exc)) from None
     _write_json(
         {"config_hash": config.config_hash(), "chain": refined.to_json_dict()},
         config.out,
@@ -297,10 +316,8 @@ def cmd_synth(config: ExperimentConfig) -> int:
 
 def cmd_detect_frequency(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
-    try:
+    with _blame("window"):  # the window is shorter than some q
         coeffs = [(q, bohr_coefficient(pot, q, config.window)) for q in config.q]
-    except ValueError as exc:  # the window is shorter than some q
-        raise CliError("window", str(exc)) from None
     rows = [(q, c.real, c.imag, abs(c)) for q, c in coeffs]
     _write_csv(("q", "re", "im", "magnitude"), rows, config.out, config.config_hash())
     return 0
@@ -308,10 +325,8 @@ def cmd_detect_frequency(config: ExperimentConfig) -> int:
 
 def cmd_orbit(config: ExperimentConfig) -> int:
     chain = _build_chain(config.chain, "chain")
-    try:
+    with _blame("level"):
         modulus = chain.nth_term(config.level)
-    except ValueError as exc:
-        raise CliError("level", str(exc)) from None
     residues = orbit_residues(chain, config.k, config.level, config.steps)
     _write_json(
         {
@@ -328,15 +343,11 @@ def cmd_orbit(config: ExperimentConfig) -> int:
 def cmd_quotient(config: ExperimentConfig) -> int:
     source = _build_chain(config.chain, "chain")
     target = _build_chain(config.target, "target")
-    try:
+    with _blame("target"):
         qmap = quotient(source, target)
-    except ValueError as exc:
-        raise CliError("target", str(exc)) from None
     depth = config.depth if config.depth is not None else min(4, len(target.prefix))
-    try:
+    with _blame("depth"):
         alignment = qmap.alignment(depth)
-    except ValueError as exc:
-        raise CliError("depth", str(exc)) from None
     _write_json(
         {
             "config_hash": config.config_hash(),
@@ -351,10 +362,10 @@ def cmd_quotient(config: ExperimentConfig) -> int:
 
 def cmd_spectrum(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
-    try:
+    if pot.depth is not None and config.level > pot.depth:
+        raise CliError("level", f"level {config.level} outside the tower levels 1..{pot.depth}")
+    with _blame("potential"):
         approx = spectrum_approx(pot, config.level, config.tol)
-    except ValueError as exc:
-        raise CliError("potential", str(exc)) from None
     out = approx.to_json_dict()
     out["config_hash"] = config.config_hash()
     _write_json(out, config.out)
@@ -387,20 +398,16 @@ def cmd_lyapunov(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
     size = config.size
-    try:
+    with _blame("potential"):  # the transfer product overflowed
         rows = [(e, lyapunov_estimate(pot, e, size), size) for e in grid]
-    except ValueError as exc:  # the transfer product overflowed
-        raise CliError("potential", str(exc)) from None
     _write_csv(("E", "lyapunov", "N"), rows, config.out, config.config_hash())
     return 0
 
 
 def cmd_gordon(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
-    try:
+    with _blame("q"):
         report = gordon_check(pot, config.q)
-    except ValueError as exc:
-        raise CliError("q", str(exc)) from None
     _write_json(
         {
             "config_hash": config.config_hash(),
@@ -414,18 +421,13 @@ def cmd_gordon(config: ExperimentConfig) -> int:
 
 def cmd_condition_a(config: ExperimentConfig) -> int:
     chain = _build_chain(config.chain, "chain")
-    try:
+    with _blame("depth"):
         report = condition_a_check(chain, config.depth)
-    except ValueError as exc:
-        raise CliError("depth", str(exc)) from None
     out = report._asdict()
     out["log_ratios"] = list(out["log_ratios"])
     out["config_hash"] = config.config_hash()
     _write_json(out, config.out)
     return 0
-
-
-REQUIRED = object()  # the default of a field that has none
 
 
 def _takes(**defaults) -> dict:
@@ -452,6 +454,28 @@ _COMMANDS = {
 }
 
 
+def _layer_tower(chain, layers, residual_bound, base, generator, tol) -> Potential:
+    """The ``layers`` kind: explicit layer tables read from ``base`` in steps of ``generator``."""
+    f = SamplingFunction(chain, tuple(PeriodicLayer(**layer) for layer in layers), residual_bound)
+    return sampled_potential(f, ProcyclicElement.from_int(chain, f.depth, base), generator, tol)
+
+
+_TOWER = {"chain": REQUIRED, "depth": 8, "base": 0, "generator": 1}
+
+# kind: (constructor, its fields and their defaults); an iid object's seed
+# defaults to the run's
+_POTENTIALS = {
+    "remark": (sawtooth_potential, _TOWER),
+    "metric": (metric_potential, _TOWER),
+    "layers": (_layer_tower, {"chain": REQUIRED, "layers": REQUIRED, "residual_bound": 0.0,
+                              "base": 0, "generator": 1, "tol": 1e-9}),
+    "periodic": (periodic_potential, {"values": REQUIRED}),
+    "iid": (iid_uniform_potential, {"seed": None, "low": 0.0, "high": 1.0}),
+}
+
+_LAYER = {"period": REQUIRED, "values": REQUIRED}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limitper",
@@ -462,16 +486,25 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="JSON config file; overrides flags")
-        for name in defaults:
-            flag_type = _KINDS[_FIELDS[name][0]][0]
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=flag_type, default=None)
+        for name in defaults:  # flag text is typed in _resolve_config
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Flags, then the config file (which wins), then type, default and range."""
-    defaults = _COMMANDS[args.command][1]
-    values = {name: getattr(args, name) for name in defaults}
+    """Flags, then the config file (which wins), then ``_resolve``."""
+    fields = _COMMANDS[args.command][1]
+    values = {}
+    for name in fields:
+        text = getattr(args, name)
+        if text == []:  # argparse reads the text of "--name=--" as []
+            text = "--"
+        if text is not None:
+            parse, expected, _ = _KINDS[_FIELDS[name][0]]
+            try:
+                values[name] = parse(text)
+            except ValueError:
+                raise CliError(name, f"expected {expected}, got {json.dumps(text)}") from None
     if args.config:
         try:
             with open(args.config) as fh:
@@ -482,27 +515,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise CliError("config", f"invalid JSON ({exc})") from None
         if not isinstance(file_conf, dict):
             raise CliError("config", "config file must hold a JSON object")
-        for key in file_conf:
-            if key not in defaults:
-                raise CliError(f"config.{key}", f"not a field of {args.command}")
         values.update(file_conf)  # null leaves a field unset
-    resolved = {"command": args.command}
-    for name, default in defaults.items():
-        kind, bound = _FIELDS[name]
-        value = values[name]
-        if value is not None:
-            value = _typed(name, kind, value)
-        elif default is REQUIRED:
-            raise CliError(name, "required for this command")
-        else:
-            value = default
-        if value is not None and bound is not None:
-            test, text = bound
-            if not all(map(test, value if kind == "ints" else [value])):
-                entry = "every entry " if kind == "ints" else ""
-                raise CliError(name, f"{entry}must be {text}, got {json.dumps(value)}")
-        resolved[name] = value
-    return ExperimentConfig(**resolved)
+    return ExperimentConfig(command=args.command, **_resolve("", fields, values, args.command))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

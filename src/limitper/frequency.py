@@ -255,23 +255,20 @@ def _available_depth(chain: FrequencyChain, wanted: int) -> int:
 
 def _find_blocker(a: FrequencyChain, b: FrequencyChain) -> Optional[int]:
     """An entry of ``a`` that divides no entry of ``b``; None if a's limit divides b's."""
-    la, lb = a.limit(), b.limit()
-    for p, e in la.pairs:
-        if e <= lb.exponent(p):
-            continue
-        # Scan for an entry whose p-exponent exceeds everything b can offer.
-        target = int(lb.exponent(p)) + 1
-        depth = _available_depth(a, len(a.prefix) + (len(a.rule) or 0) * target + 1)
-        for j in range(1, depth + 1):
-            entry = a.nth_term(j)
-            exp = 0
-            while entry % p == 0:
-                entry //= p
-                exp += 1
-            if exp >= target:
-                return a.nth_term(j)
-        raise AssertionError(f"blocking entry for prime {p} not found")
+    lb = b.limit()
+    for p, e in a.limit().pairs:
+        if e > lb.exponent(p):  # so lb's exponent of p is finite
+            return a.nth_term(first_level_divisible(a, p ** (int(lb.exponent(p)) + 1)))
     return None
+
+
+def _witnesses(a: FrequencyChain, b: FrequencyChain, entries: int) -> tuple[tuple[int, int], ...]:
+    """``(n, m)`` for a's first ``entries`` entries n, m the first entry of b that n divides."""
+    pairs = []
+    for i in range(1, _available_depth(a, entries) + 1):
+        j = first_level_divisible(b, a.nth_term(i), a.entry_factorization(i))
+        pairs.append((a.nth_term(i), b.nth_term(j)))
+    return tuple(pairs)
 
 
 def hulls_isomorphic(
@@ -290,17 +287,8 @@ def hulls_isomorphic(
         if blocker_a is not None:
             return HullComparison(False, la, lb, blocker=("a", blocker_a))
         return HullComparison(False, la, lb, blocker=("b", _find_blocker(b, a)))
-    forward = []
-    for i in range(1, _available_depth(a, cert_entries) + 1):
-        n = a.nth_term(i)
-        j = first_level_divisible(b, n, a.entry_factorization(i))
-        forward.append((n, b.nth_term(j)))
-    backward = []
-    for i in range(1, _available_depth(b, cert_entries) + 1):
-        n = b.nth_term(i)
-        j = first_level_divisible(a, n, b.entry_factorization(i))
-        backward.append((n, a.nth_term(j)))
-    return HullComparison(True, la, lb, tuple(forward), tuple(backward))
+    forward, backward = _witnesses(a, b, cert_entries), _witnesses(b, a, cert_entries)
+    return HullComparison(True, la, lb, forward, backward)
 
 
 def bohr_coefficient(d: Callable[[int], float], q: int, window: int) -> complex:

@@ -1,12 +1,13 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from limitper import sawtooth_value, chain_make
-from limitper.cli import _COMMANDS, _FIELDS, main
+from limitper.cli import _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, main
 
 DYADIC = '{"prefix":[2],"rule":[2]}'
 TRIADIC = '{"prefix":[3],"rule":[3]}'
@@ -257,6 +258,8 @@ def test_seed_validation(capsys):
 
 PERIODIC = '{"kind":"periodic","values":[0.5,-0.5]}'
 TOWER = '{"kind":"remark","chain":{"prefix":[2],"rule":[2]}'  # close with the last field
+# one layer over the chain [1, 2]; close the layer, the list and the object
+LAYERS = '{"kind":"layers","chain":{"prefix":[1,2]},"layers":[{"period":1,"values":[0.5]'
 
 
 @pytest.mark.parametrize("kind, descriptor", [("iid", '{"kind":"iid"}'), ("periodic", PERIODIC)])
@@ -302,6 +305,18 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("synth", "--potential", '{"kind":"layers","chain":{"prefix":[1,2]},"layers":'
           '[{"period":1,"values":[1e308]},{"period":2,"values":[1e308,0]}]}'), "potential"),
         (("synth", "--potential", PERIODIC, "--out", os.path.join(os.devnull, "u.csv")), "out"),
+        (("synth", "--potential", '{"kind":"periodic","values":[1],"bogus":1}'), "potential.bogus"),
+        (("synth", "--potential", TOWER + ',"depth":0}'), "potential.depth"),
+        (("synth", "--potential", LAYERS + ',"x":1}]}'), "potential.layers[0].x"),
+        (("synth", "--potential", LAYERS + '}],"tol":0}'), "potential.tol"),
+        (("synth", "--potential", LAYERS + '}],"residual_bound":-1}'), "potential.residual_bound"),
+        (("synth", "--potential", '{"kind":"iid","seed":-5}'), "potential.seed"),
+        (("lyapunov", "--potential", PERIODIC, "--energy-min", "abc", "--energy-max", "1"),
+         "energy_min"),
+        (("lyapunov", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1",
+          "--size", "1.5"), "size"),
+        (("spectrum", "--potential", TOWER + ',"depth":8}', "--level", "10"), "level"),
+        (("orbit", "--chain", DYADIC, "--k", "1", "--level", "2", "--steps=--"), "steps"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
@@ -520,3 +535,48 @@ def test_any_config_file_exits_0_or_2_with_a_field_error(tmp_path, monkeypatch, 
         assert err.startswith("error: ")
     if unknown is not None:
         assert err.startswith(f"error: config.{unknown}: not a field of {command}")
+
+
+STRAY_TEXT = st.sampled_from(["abc", "1.5", "1e999", "nan", "-inf", "-1e308", "", " 7", "[1]",
+                              "{}", "2,x", "true", "null", "0x10", "--"])
+
+
+def _flag_text(name):
+    """Text for the flag of field ``name``: a value of any type written out, or stray text."""
+    values = _field_values(name, wild=True)
+    return st.one_of(values.map(lambda v: v if isinstance(v, str) else json.dumps(v)),
+                     STRAY_TEXT, words)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_flag_text_exits_0_or_2_with_a_field_error(tmp_path, monkeypatch, capsys, data):
+    """ROADMAP item 6 gate: flag text is typed by the field rules, like a config file.
+
+    Flags are passed as ``--name=text`` so that text starting with "-" is a value.
+    """
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    names = data.draw(st.lists(st.sampled_from(sorted(_COMMANDS[command][1])), max_size=3))
+    flags = [f"--{name.replace('_', '-')}={data.draw(_flag_text(name))}" for name in names]
+    work = tmp_path / "work"
+    work.mkdir(exist_ok=True)
+    monkeypatch.chdir(work)
+    code, _, err = run(capsys, command, *BASE_FLAGS[command], *flags)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ")
+
+
+RUN_SEED = "the run's `seed`"  # how the README names an iid object's default seed
+
+
+def test_readme_lists_every_potential_kind_with_its_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    objects = {f"`{kind}`": fields for kind, (_, fields) in _POTENTIALS.items()}
+    objects["a layer (an entry of `layers`)"] = _LAYER
+    for name, fields in objects.items():
+        required = ", ".join(f"`{f}`" for f, d in fields.items() if d is REQUIRED)
+        defaults = ", ".join(f"`{f}` ({RUN_SEED if d is None else repr(d)})"
+                             for f, d in fields.items() if d is not REQUIRED)
+        assert f"| {name} | {required} | {defaults} |" in readme

@@ -29,3 +29,16 @@ def test_traced_calls_reach_the_patched_names(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert tracer.counts["potential.value_calls"] > 0
     assert tracer.counts["spectral.discriminant_calls"] > 0
+
+
+def test_traced_sweeps_record_the_library_spans(tmp_path, capsys):
+    # spectral.sturm_sites and potential.window_s are read from these spans.
+    tracer = tracing.Tracer()
+    sweep = ["--potential", REMARK, "--energy-min", "-1", "--energy-max", "1",
+             "--energy-points", "2", "--size", "16"]
+    with tracer.installed(limitper):
+        assert limitper.cli.main(["ids", *sweep, "--out", str(tmp_path / "ids.csv")]) == 0
+        assert limitper.cli.main(["lyapunov", *sweep, "--out", str(tmp_path / "l.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    names = {span[0] for span in tracer.spans}
+    assert {"potential.build", "spectral.eigenvalue_count", "spectral.lyapunov_estimate"} <= names
