@@ -362,9 +362,7 @@ def cmd_quotient(config: ExperimentConfig) -> int:
 
 def cmd_spectrum(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
-    if pot.depth is not None and config.level > pot.depth:
-        raise CliError("level", f"level {config.level} outside the tower levels 1..{pot.depth}")
-    with _blame("potential"):
+    with _blame("level" if pot.depth is not None and config.level > pot.depth else "potential"):
         approx = spectrum_approx(pot, config.level, config.tol)
     out = approx.to_json_dict()
     out["config_hash"] = config.config_hash()
@@ -375,9 +373,8 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
 def cmd_ids(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
-    size = config.size
-    window = [pot(i) for i in range(1, size + 1)]
-    curve = IDSCurve(tuple(grid), tuple(eigenvalue_count(window, e) / size for e in grid))
+    window = [pot(i) for i in range(1, config.size + 1)]
+    curve = IDSCurve(tuple(grid), tuple(eigenvalue_count(window, e) / config.size for e in grid))
     chash = config.config_hash()
     _write_csv(("E", "ids"), zip(curve.energies, curve.values), config.out, chash)
     report = log_holder_report(curve)
@@ -397,9 +394,8 @@ def cmd_ids(config: ExperimentConfig) -> int:
 def cmd_lyapunov(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
-    size = config.size
     with _blame("potential"):  # the transfer product overflowed
-        rows = [(e, lyapunov_estimate(pot, e, size), size) for e in grid]
+        rows = [(e, lyapunov_estimate(pot, e, config.size), config.size) for e in grid]
     _write_csv(("E", "lyapunov", "N"), rows, config.out, config.config_hash())
     return 0
 

@@ -258,7 +258,8 @@ def _find_blocker(a: FrequencyChain, b: FrequencyChain) -> Optional[int]:
     lb = b.limit()
     for p, e in a.limit().pairs:
         if e > lb.exponent(p):  # so lb's exponent of p is finite
-            return a.nth_term(first_level_divisible(a, p ** (int(lb.exponent(p)) + 1)))
+            t = int(lb.exponent(p)) + 1  # p**t can be too large to factor, so pass {p: t}
+            return a.nth_term(first_level_divisible(a, p**t, {p: t}))
     return None
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .frequency import FrequencyChain
-from .procyclic import ProcyclicElement, metric
+from .procyclic import ProcyclicElement
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,13 @@ def sawtooth_value(chain: FrequencyChain, depth: int, k: int) -> ValueTail:
 
 def metric_value(chain: FrequencyChain, depth: int, k: int) -> tuple[Fraction, Fraction]:
     """Exact dyadic distance from the k-th orbit point to the identity, with tail 2**-depth."""
-    point = ProcyclicElement.from_int(chain, depth, k)  # depth < 1 raises
-    return metric(point, ProcyclicElement.identity(chain, depth))
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    value = Fraction(0)  # the closed form, kept apart from procyclic.metric to check it
+    for j, n in enumerate(chain.terms(depth), start=1):
+        if k % n != 0:
+            value += Fraction(1, 2 ** (j + 1))
+    return value, Fraction(1, 2**depth)
 
 
 _LAYER_PERIOD_GUARD = 1_000_000

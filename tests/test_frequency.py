@@ -90,6 +90,15 @@ def test_hulls_isomorphic_examples():
     assert hulls_isomorphic(a, a).isomorphic
 
 
+def test_blocker_entry_past_the_factorization_limit():
+    # The blocker 2**64 is too large to factor, so it must be found from its known prime.
+    dyadic, finite = chain_make([2], [2]), FrequencyChain.from_json_dict({"prefix": [2**63]})
+    cmp = hulls_isomorphic(dyadic, finite)
+    assert not cmp.isomorphic
+    assert cmp.blocker == ("a", 2**64)
+    assert hulls_isomorphic(finite, dyadic).blocker == ("b", 2**64)
+
+
 def test_certificate_witnesses_really_divide():
     a = chain_make([2], [2])
     b = chain_make([4], [4])
