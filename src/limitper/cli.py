@@ -373,7 +373,7 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
 def cmd_ids(config: ExperimentConfig) -> int:
     pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
-    window = [pot(i) for i in range(1, config.size + 1)]
+    window = pot.window(1, config.size + 1)
     curve = IDSCurve(tuple(grid), tuple(eigenvalue_count(window, e) / config.size for e in grid))
     chash = config.config_hash()
     _write_csv(("E", "ids"), zip(curve.energies, curve.values), config.out, chash)
@@ -515,9 +515,23 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(command=args.command, **_resolve("", fields, values, args.command))
 
 
+def _glue_negative_numbers(argv: Sequence[str]) -> list[str]:
+    """``--flag -1e308`` as ``--flag=-1e308``; argparse would read ``-1e308`` as an option."""
+    flags = {"--config", *(f"--{name.replace('_', '-')}" for name in _FIELDS)}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(token)
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         config = _resolve_config(args)
         return _COMMANDS[args.command][0](config)

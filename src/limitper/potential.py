@@ -22,7 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .frequency import FrequencyChain
 from .procyclic import ProcyclicElement
@@ -262,13 +262,27 @@ class Potential:
     def value(self, n: int) -> float:
         if self.values is not None:
             return self.values[n % len(self.values)]
-        if self.kind == "iid":
-            return self.low + (self.high - self.low) * random.Random(
-                f"{self.seed}:{n}"
-            ).random()
+        if self.kind == "iid":  # a bare generator: __init__ would seed it from the OS first
+            return self._iid_site(random.Random.__new__(random.Random), n)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
     __call__ = value
+
+    def window(self, start: int, stop: int) -> list[float]:
+        """``[V(n) for n in range(start, stop)]``, read in one pass."""
+        if self.values is not None:
+            p, count = len(self.values), max(stop - start, 0)
+            r = start % p
+            return (list(self.values[r:] + self.values[:r]) * (count // p + 1))[:count]
+        if self.kind == "iid":
+            rng = random.Random()
+            return [self._iid_site(rng, n) for n in range(start, stop)]
+        raise ValueError(f"unknown potential kind {self.kind!r}")
+
+    def _iid_site(self, rng: random.Random, n: int) -> float:
+        """The noise at site n: ``rng`` reseeded with "seed:n", one uniform draw, scaled."""
+        rng.seed(f"{self.seed}:{n}")
+        return self.low + (self.high - self.low) * rng.random()
 
     def _check_level(self, level: int) -> None:
         if self.sampling is None:
@@ -285,6 +299,11 @@ class Potential:
         """One period of the level-``level`` periodic approximant along this orbit."""
         self._check_level(level)
         return _orbit_table(self.sampling.layers[:level], self.base, self.generator)
+
+
+def read_window(V: Callable[[int], float], start: int, stop: int) -> Iterable[float]:
+    """V at ``start, ..., stop - 1``: a ``Potential``'s window, else V called site by site."""
+    return V.window(start, stop) if isinstance(V, Potential) else map(V, range(start, stop))
 
 
 def _orbit_table(layers: Sequence[PeriodicLayer], base: int, generator: int) -> list[float]:
@@ -460,19 +479,19 @@ def gordon_check(
     Thresholds are compared in log space since ``j**-q_j`` underflows doubles
     once ``q_j * log(j)`` passes about 700.  ``log_threshold(j, q)`` overrides
     the default rule ``-q * log(j)``.  The j = 1 threshold is 1 and is applied
-    literally.
+    literally.  V is read once, in one window, after q_list is checked.
     """
-    prev = 0
+    if any(q <= prev for q, prev in zip(q_list, (0, *q_list))):
+        raise ValueError("q_list must be strictly increasing positive integers")
+    q_max = q_list[-1] if q_list else 0
+    w = list(read_window(V, 1 - q_max, 2 * q_max + 1))  # w[q_max - 1 + n] is V(n)
     margins = []
     all_ok = True
     for j, q in enumerate(q_list, start=1):
-        if q <= prev:
-            raise ValueError("q_list must be strictly increasing positive integers")
-        prev = q
         max_diff = 0.0
-        for n in range(1, q + 1):
-            v = V(n)
-            max_diff = max(max_diff, abs(v - V(n + q)), abs(v - V(n - q)))
+        for n in range(q_max, q_max + q):
+            v = w[n]
+            max_diff = max(max_diff, abs(v - w[n + q]), abs(v - w[n - q]))
         log_thr = log_threshold(j, q) if log_threshold else -q * math.log(j) + 0.0
         log_diff = math.log(max_diff) if max_diff > 0 else -math.inf
         ok = log_diff <= log_thr

@@ -1,7 +1,9 @@
 """Spectral measurements for ``[Hu](n) = u(n+1) + u(n-1) + V(n) u(n)``.
 
 Transfer-matrix products are rescaled at norm 2**512 with an accumulated
-log-scale, so Lyapunov exponents are computed overflow-free.  Periodic spectra
+log-scale, so Lyapunov exponents are computed overflow-free.  Each step tests
+only the two entries it computes (the other two are last step's, already in
+range), and a NaN or out-of-range entry runs the full check.  Periodic spectra
 come from the discriminant (trace of the one-period transfer matrix): the
 spectrum is exactly ``{E : |Delta(E)| <= 2}``.  Delta runs the two-solution
 recurrence over the period in a plain loop, the same arithmetic as the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .frequency import FrequencyChain
-from .potential import PeriodicLayer, Potential
+from .potential import PeriodicLayer, Potential, read_window
 
 _RESCALE = 2.0**512
 _RESCALE_LOG = 512.0 * math.log(2.0)
@@ -67,15 +69,20 @@ def transfer_product(
     """Ordered product of one-step matrices ``[[E - V(n), -1], [1, 0]]`` over [n_start, n_end).
 
     New steps multiply on the left, propagating (u(n+1), u(n)).  An empty range
-    returns the identity with log-scale 0.
+    returns the identity with log-scale 0.  A ``Potential`` is read as one window.
     """
     if n_start > n_end:
         raise ValueError(f"n_start {n_start} must be <= n_end {n_end}")
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     log_scale = 0.0
-    for n in range(n_start, n_end):
-        a = E - V(n)
-        m11, m12, m21, m22 = a * m11 - m21, a * m12 - m22, m11, m12
+    R = _RESCALE
+    for n, v in enumerate(read_window(V, n_start, n_end), n_start):
+        a = E - v
+        m11, m21 = a * m11 - m21, m11
+        m12, m22 = a * m12 - m22, m12
+        # m21 and m22 were m11 and m12 a step ago, within R; NaN fails the test
+        if -R <= m11 <= R and -R <= m12 <= R:
+            continue
         mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
         while mag > _RESCALE:
             if mag == math.inf:
@@ -347,7 +354,7 @@ def ids_curve(V: Callable[[int], float], energies: Sequence[float], N: int = 10_
     """IDS sampled on an ascending grid; the potential window is built once."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    window = [V(i) for i in range(1, N + 1)]
+    window = list(read_window(V, 1, N + 1))
     grid = tuple(float(e) for e in energies)
     vals = tuple(eigenvalue_count(window, e) / N for e in grid)
     return IDSCurve(grid, vals)

@@ -580,3 +580,38 @@ def test_readme_lists_every_potential_kind_with_its_fields():
         defaults = ", ".join(f"`{f}` ({RUN_SEED if d is None else repr(d)})"
                              for f, d in fields.items() if d is not REQUIRED)
         assert f"| {name} | {required} | {defaults} |" in readme
+
+
+@pytest.mark.parametrize("argv", [
+    ("ids", "--potential", PERIODIC, "--energy-min", "-1e308", "--energy-max", "1",
+     "--energy-points", "2", "--size", "8"),
+    ("lyapunov", "--potential", PERIODIC, "--energy-min", "-1e3", "--energy-max", "-1E-3",
+     "--energy-points", "2", "--size", "8"),
+    ("synth", "--potential", PERIODIC, "--nmin", "-2e0", "--nmax", "2"),
+])
+def test_negative_exponent_after_a_space_is_a_value(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    if argv[0] == "synth":  # read as a value, then typed: an int field takes no exponent
+        assert (code, err) == (2, 'error: nmin: expected an integer, got "-2e0"\n')
+    else:
+        assert (code, err) == (0, "")
+
+
+def test_negative_exponent_value_gives_the_bytes_of_the_equals_form(tmp_path, capsys):
+    files = []
+    out = tmp_path / "ids.csv"  # one path: the out field is hashed too
+    for flag in (["--energy-min", "-1e3"], ["--energy-min=-1e3"]):
+        argv = ["ids", "--potential", PERIODIC, *flag, "--energy-max", "1", "--size", "8"]
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("follower", ["--energy-max", "--size", "-h"])
+def test_a_flag_followed_by_a_real_flag_is_still_an_error(capsys, follower):
+    argv = ["lyapunov", "--potential", PERIODIC, "--energy-min", follower, "1",
+            "--energy-max", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--energy-min: expected one argument" in capsys.readouterr().err

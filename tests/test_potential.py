@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitper import (
     PeriodicLayer,
+    Potential,
     ProcyclicElement,
     SamplingFunction,
     chain_make,
@@ -374,3 +375,108 @@ def _layers_summing_past_float_max():
 def test_potential_values_must_be_finite(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _any_potential(kind, chain, depth, base, generator, values, seed):
+    if kind == "remark":
+        return sawtooth_potential(chain, depth, base, generator)
+    if kind == "metric":
+        return metric_potential(chain, depth, base, generator)
+    if kind == "layers":
+        omega = ProcyclicElement.from_int(chain, depth, base)
+        return sampled_potential(sawtooth_sampling(chain, depth), omega, generator, 1.0)
+    if kind == "periodic":
+        return periodic_potential(values)
+    return iid_uniform_potential(seed, -0.5, 2.0)
+
+
+KINDS = ("remark", "metric", "layers", "periodic", "iid")
+
+potentials = st.builds(
+    _any_potential,
+    st.sampled_from(KINDS),
+    st.sampled_from([DYADIC, chain_make([2], [3]), chain_make([3, 6])]),
+    st.integers(1, 2),
+    st.integers(-40, 40),
+    st.sampled_from([1, 3, -1, 5, 0]),
+    st.lists(st.floats(-1e6, 1e6) | st.just(-0.0), min_size=1, max_size=9),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(potentials, st.integers(-2000, 2000), st.integers(-5, 120))
+def test_window_is_the_per_site_read_bitwise(pot, a, length):
+    b = a + length  # empty for length <= 0, shorter and longer than every period drawn
+    assert _bits(pot.window(a, b)) == _bits([pot(n) for n in range(a, b)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_window_spans_many_periods_from_a_negative_start(kind):
+    pot = _any_potential(kind, chain_make([2], [3]), 3, 7, 5, [0.25, -1.5, 3.0], 11)
+    assert pot.generator != 1 or kind in ("periodic", "iid")
+    a = -3 * (pot.period or 4) - 2
+    assert _bits(pot.window(a, 40)) == _bits([pot(n) for n in range(a, 40)])
+    assert pot.window(5, 5) == pot.window(9, 2) == []
+
+
+def _per_site_gordon(V, q_list):
+    """The Gordon check read site by site, as before windows: the equivalence oracle."""
+    prev = 0
+    margins = []
+    all_ok = True
+    for j, q in enumerate(q_list, start=1):
+        if q <= prev:
+            raise ValueError("q_list must be strictly increasing positive integers")
+        prev = q
+        max_diff = 0.0
+        for n in range(1, q + 1):
+            v = V(n)
+            max_diff = max(max_diff, abs(v - V(n + q)), abs(v - V(n - q)))
+        log_thr = -q * math.log(j) + 0.0
+        log_diff = math.log(max_diff) if max_diff > 0 else -math.inf
+        ok = log_diff <= log_thr
+        all_ok = all_ok and ok
+        margins.append((j, q, max_diff, log_diff, log_thr, log_thr - log_diff, ok))
+    return all_ok, margins
+
+
+@pytest.mark.parametrize("kind", KINDS + ("callable",))
+@pytest.mark.parametrize("q_list", [[1, 2, 4, 8, 16, 32], [3, 5, 7], [2], [], [6, 40]])
+def test_gordon_window_matches_the_per_site_check(kind, q_list):
+    if kind == "callable":
+        pot = lambda n: math.sin(n) + (n % 3) / 7
+    else:
+        pot = _any_potential(kind, chain_make([2], [3]), 4, 3, 5, [0.5, -0.25, 0.125], 7)
+    report = gordon_check(pot, q_list)
+    passed, margins = _per_site_gordon(pot, q_list)
+    assert report.passed == passed
+    assert [tuple(m) for m in report.margins] == margins
+    assert [m.max_diff.hex() for m in report.margins] == [m[2].hex() for m in margins]
+
+
+@pytest.mark.parametrize("q_list", [[4, 4], [4, 2, 8], [0, 1]])
+def test_gordon_rejects_bad_scales_before_reading_a_window(monkeypatch, q_list):
+    sites = []
+    with pytest.raises(ValueError, match="strictly increasing"):
+        gordon_check(lambda n: sites.append(n) or 0.0, q_list)
+    assert sites == []
+
+    def no_window(self, start, stop):
+        raise AssertionError("window built before q_list was checked")
+
+    monkeypatch.setattr(Potential, "window", no_window)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        gordon_check(periodic_potential([0.0]), q_list)
+
+
+def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():
+    """Site n is ``low + (high - low) * random.Random(f"{seed}:{n}").random()``."""
+    pot = iid_uniform_potential(2**40 + 3, -0.5, 2.0)
+    expect = [-0.5 + 2.5 * random.Random(f"{2**40 + 3}:{n}").random() for n in range(-9, 9)]
+    assert _bits(pot.window(-9, 9)) == _bits(expect)
+    assert _bits(map(pot, range(-9, 9))) == _bits(expect)

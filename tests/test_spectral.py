@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitper import (
     BandSet,
@@ -448,3 +448,85 @@ def test_condition_a_sees_past_requested_depth_on_ruled_chains():
 def test_condition_a_depth_validation():
     with pytest.raises(ValueError):
         condition_a_check(chain_make([2], [2]), 1)
+
+
+_RESCALE = 2.0**512
+
+
+def _per_step_transfer(V, E, n_start, n_end):
+    """The transfer kernel that tests all four entries after every step: the oracle."""
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    log_scale = 0.0
+    for n in range(n_start, n_end):
+        a = E - V(n)
+        m11, m12, m21, m22 = a * m11 - m21, a * m12 - m22, m11, m12
+        mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
+        while mag > _RESCALE:
+            if mag == math.inf:
+                raise ValueError(f"transfer matrix overflowed at site {n}, E = {E!r}")
+            m11 /= _RESCALE
+            m12 /= _RESCALE
+            m21 /= _RESCALE
+            m22 /= _RESCALE
+            log_scale += 512.0 * math.log(2.0)
+            mag /= _RESCALE
+    return TransferState(m11, m12, m21, m22, log_scale)
+
+
+def _outcome(kernel, V, E, a, b):
+    """Every field of the state, bitwise, or the text of the error raised."""
+    try:
+        state = kernel(V, E, a, b)
+    except ValueError as exc:
+        return str(exc)
+    return tuple(x.hex() for x in (state.m11, state.m12, state.m21, state.m22, state.log_scale))
+
+
+_wild_values = st.one_of(
+    _small_values,
+    st.floats(-1e150, 1e150),
+    st.sampled_from([1e150, -1e150, 7e149, 1e200, -1e200, 0.0, -0.0]),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.lists(_wild_values, min_size=1, max_size=12),
+    st.one_of(st.floats(-8, 8), st.sampled_from([5.0, -6.5, 1e100, 3e153]), st.integers(0, 11)),
+    st.integers(-30, 30),
+    st.integers(0, 300),
+    st.booleans(),
+)
+@example([1e150, 1.0, -1e150, -2.5, 7e149, 7e149], 4, 5, 45, False)
+def test_transfer_matches_the_per_step_kernel(vals, E, a, length, as_potential):
+    """Rescales (gaps, |V| up to 1e150) and overflows (1e200) decide as before, bitwise.
+
+    An int E picks a site value as the energy: a step with E = V(n) swaps the
+    rows, so one column can stay small while only m12 passes the threshold.
+    """
+    if isinstance(E, int):
+        E = vals[E % len(vals)]
+    per_site = lambda n: vals[n % len(vals)]
+    V = periodic_potential(vals) if as_potential else per_site
+    expect = _outcome(_per_step_transfer, per_site, E, a, a + length)
+    assert _outcome(transfer_product, V, E, a, a + length) == expect
+
+
+def test_transfer_rescales_as_often_as_the_per_step_kernel():
+    pot = periodic_potential([1e150, -3e149, 7.0])
+    new, old = transfer_product(pot, 0.5, -40, 300), _per_step_transfer(pot, 0.5, -40, 300)
+    assert new.log_scale / (512.0 * math.log(2.0)) > 100
+    assert new == old and new.log_scale.hex() == old.log_scale.hex()
+    message = "transfer matrix overflowed at site 4, E = 0.0"
+    for kernel in (transfer_product, _per_step_transfer):
+        with pytest.raises(ValueError, match=message):
+            kernel(periodic_potential([1e200, -1e200]), 0.0, 1, 11)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transfer_non_finite_sites_match_the_per_step_kernel(bad):
+    for site in (0, 1, 5):
+        V = lambda n: bad if n == site else 0.25 * (n % 3)
+        for E in (0.0, 3.0):
+            expect = _outcome(_per_step_transfer, V, E, 0, 12)
+            assert _outcome(transfer_product, V, E, 0, 12) == expect
