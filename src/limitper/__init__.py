@@ -35,7 +35,6 @@ from .potential import (
     gordon_check,
     iid_uniform_potential,
     metric_potential,
-    metric_sampling,
     metric_value,
     periodic_potential,
     periodize,

@@ -195,22 +195,22 @@ def _build_chain(obj, path: str) -> FrequencyChain:
         return FrequencyChain.from_json_dict(data)
 
 
-def build_potential(descriptor, seed: int, path: str = "potential") -> Potential:
+def build_potential(descriptor, seed: int) -> Potential:
     """Construct a potential from its config object, reporting errors with field paths."""
-    data = _parse_json_flag(descriptor, path)
+    data = _parse_json_flag(descriptor, "potential")
     if not isinstance(data, dict):
-        raise CliError(path, "expected a potential object")
+        raise CliError("potential", "expected a potential object")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _POTENTIALS:
-        raise CliError(f"{path}.kind", f"unknown kind {kind!r}")
+        raise CliError("potential.kind", f"unknown kind {kind!r}")
     make, fields = _POTENTIALS[kind]
     if "seed" in fields:  # an object without a seed of its own draws with the run's
         fields = {**fields, "seed": seed}
     values = {key: value for key, value in data.items() if key != "kind"}
-    args = _resolve(path, fields, values, f"kind {kind!r}")
+    args = _resolve("potential", fields, values, f"kind {kind!r}")
     if "chain" in args:
-        args["chain"] = _build_chain(args["chain"], f"{path}.chain")
-    with _blame(path):
+        args["chain"] = _build_chain(args["chain"], "potential.chain")
+    with _blame("potential"):
         return make(**args)
 
 
@@ -480,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, defaults) in _COMMANDS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)  # a flag is its field name, spelled out
         p.add_argument("--config", default=None, help="JSON config file; overrides flags")
         for name in defaults:  # flag text is typed in _resolve_config
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)

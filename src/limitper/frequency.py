@@ -80,13 +80,7 @@ class FrequencyChain:
 
     def ratio_at(self, j: int) -> int:
         """Ratio from entry j to entry j+1."""
-        if j < 1:
-            raise ValueError(f"ratio index must be >= 1, got {j}")
-        if j < len(self.prefix):
-            return self.prefix[j] // self.prefix[j - 1]
-        if not self.rule:
-            raise ValueError(f"finite chain of length {len(self.prefix)} has no ratio at {j}")
-        return self.rule[(j - len(self.prefix)) % len(self.rule)]
+        return self.nth_term(j + 1) // self.nth_term(j)
 
     def subchain(self, step: int) -> "FrequencyChain":
         """The chain of every ``step``-th entry; an infinite subchain has the same hull."""
@@ -196,14 +190,14 @@ def maximal_chain(chain: FrequencyChain, depth: Optional[int] = None) -> Frequen
 
 
 def first_level_divisible(
-    chain: FrequencyChain, n: int, n_factors: Optional[dict[int, int]] = None
+    chain: FrequencyChain, n: int, n_factors: dict[int, int]
 ) -> Optional[int]:
     """Smallest level j with n dividing the j-th entry, or None when no level works.
 
-    ``n_factors`` supplies the factorization of n when n is too large to factor
+    ``n_factors`` is the factorization of n, which can be too large to factor
     directly (deep chain entries).
     """
-    need = Supernatural.from_factors(n_factors) if n_factors else Supernatural.from_int(n)
+    need = Supernatural.from_factors(n_factors)
     if not need.divides(chain.limit()):
         return None
     max_exp = max((int(e) for _, e in need.pairs), default=0)
@@ -272,13 +266,14 @@ def _witnesses(a: FrequencyChain, b: FrequencyChain, entries: int) -> tuple[tupl
     return tuple(pairs)
 
 
-def hulls_isomorphic(
-    a: FrequencyChain, b: FrequencyChain, cert_entries: int = 8
-) -> HullComparison:
+_CERT_ENTRIES = 8
+
+
+def hulls_isomorphic(a: FrequencyChain, b: FrequencyChain) -> HullComparison:
     """Decide whether two chains present isomorphic hulls, with a certificate.
 
     The verdict is equality of the supernatural limits.  The certificate gives,
-    for each of the first ``cert_entries`` entries on each side, an entry of the
+    for each of the first ``_CERT_ENTRIES`` entries on each side, an entry of the
     other chain it divides; when the hulls differ it gives one concrete entry
     that no entry of the other chain dominates.
     """
@@ -288,7 +283,7 @@ def hulls_isomorphic(
         if blocker_a is not None:
             return HullComparison(False, la, lb, blocker=("a", blocker_a))
         return HullComparison(False, la, lb, blocker=("b", _find_blocker(b, a)))
-    forward, backward = _witnesses(a, b, cert_entries), _witnesses(b, a, cert_entries)
+    forward, backward = _witnesses(a, b, _CERT_ENTRIES), _witnesses(b, a, _CERT_ENTRIES)
     return HullComparison(True, la, lb, forward, backward)
 
 

@@ -134,38 +134,29 @@ class ValueTail(NamedTuple):
     tail_bound: float
 
 
-def _geometric_layer_tail(chain: FrequencyChain, depth: int, power_terms) -> Fraction:
-    """Exact ``sum_{j > depth} g(n_j)`` where g is given per power via ``power_terms``.
+def sawtooth_tail(chain: FrequencyChain, depth: int) -> Fraction:
+    """Exact sup-norm tail ``sum_{j > depth} (n_j - 1) / n_j**3`` of the sawtooth tower.
 
-    ``power_terms`` maps an entry n to a Fraction; it must be a finite linear
-    combination of powers n**-s so the ruled tail sums as geometric series.
-    Used with g(n) = (n-1)/n**3 = n**-2 - n**-3 for the sawtooth tower.
+    Past the prefix and ``depth`` a ruled chain grows by the rule's product
+    every cycle, so the rest of the tail, ``sum n**-2 - n**-3``, sums as two
+    geometric series.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     total = Fraction(0)
-    plen = len(chain.prefix)
-    finite_top = plen if not chain.rule else max(depth, plen)
-    for j in range(depth + 1, finite_top + 1):
-        total += power_terms(chain.nth_term(j))
+    start = max(depth, len(chain.prefix)) if chain.rule else len(chain.prefix)
+    for j in range(depth + 1, start + 1):
+        n = chain.nth_term(j)
+        total += Fraction(n - 1, n**3)
     if not chain.rule:
         return total
-    cycle = len(chain.rule)
-    start = max(depth, plen)
     cycle_product = math.prod(chain.rule)
     for s, sign in ((2, 1), (3, -1)):
         head = sum(
-            Fraction(1, chain.nth_term(start + 1 + i) ** s) for i in range(cycle)
+            Fraction(1, chain.nth_term(start + 1 + i) ** s) for i in range(len(chain.rule))
         )
         total += sign * head / (1 - Fraction(1, cycle_product**s))
     return total
-
-
-def sawtooth_tail(chain: FrequencyChain, depth: int) -> Fraction:
-    """Exact sup-norm tail ``sum_{j > depth} (n_j - 1) / n_j**3`` of the sawtooth tower."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return _geometric_layer_tail(
-        chain, depth, lambda n: Fraction(n - 1, n**3)
-    )
 
 
 def sawtooth_value(chain: FrequencyChain, depth: int, k: int) -> ValueTail:
@@ -192,29 +183,6 @@ def metric_value(chain: FrequencyChain, depth: int, k: int) -> tuple[Fraction, F
         if k % n != 0:
             value += Fraction(1, 2 ** (j + 1))
     return value, Fraction(1, 2**depth)
-
-
-_LAYER_PERIOD_GUARD = 1_000_000
-
-
-def sawtooth_sampling(chain: FrequencyChain, depth: int) -> SamplingFunction:
-    """Materialized sawtooth tower; periods above the guard are rejected."""
-    layers = []
-    for n in chain.terms(depth):
-        if n > _LAYER_PERIOD_GUARD:
-            raise ValueError(f"period {n} too large to materialize")
-        layers.append(PeriodicLayer(n, tuple(t / n**3 for t in range(n))))
-    return SamplingFunction(chain, tuple(layers), _float_up(sawtooth_tail(chain, depth)))
-
-
-def metric_sampling(chain: FrequencyChain, depth: int) -> SamplingFunction:
-    layers = []
-    for j, n in enumerate(chain.terms(depth), start=1):
-        if n > _LAYER_PERIOD_GUARD:
-            raise ValueError(f"period {n} too large to materialize")
-        weight = 2.0 ** -(j + 1)
-        layers.append(PeriodicLayer(n, tuple(0.0 if t == 0 else weight for t in range(n))))
-    return SamplingFunction(chain, tuple(layers), 2.0**-depth)
 
 
 @dataclass(frozen=True)
@@ -354,28 +322,47 @@ def periodic_potential(values: Sequence[float]) -> Potential:
     )
 
 
+_LAYER_PERIOD_GUARD = 1_000_000
+
+# wire kind: (the value ``(t, n, j)`` at residue t of the level-j layer, whose
+# period is n = n_j; the certified tail ``(chain, l)`` of the level-l approximant)
+_FAMILIES = {
+    "remark": (lambda t, n, j: t / n**3, lambda chain, l: _float_up(sawtooth_tail(chain, l))),
+    "metric": (lambda t, n, j: 0.0 if t == 0 else 2.0 ** -(j + 1), lambda chain, l: 2.0**-l),
+}
+
+
+def _family_potential(
+    kind: str, chain: FrequencyChain, depth: int, base: int = 0, generator: int = 1
+) -> Potential:
+    """The explicit tower ``kind`` to ``depth``, read from ``base`` in steps of ``generator``."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    value, tail = _FAMILIES[kind]
+    layers = []
+    for j, n in enumerate(chain.terms(depth), start=1):
+        if n > _LAYER_PERIOD_GUARD:
+            raise ValueError(f"period {n} too large to materialize")
+        layers.append(PeriodicLayer(n, tuple(value(t, n, j) for t in range(n))))
+    f = SamplingFunction(chain, tuple(layers), tail(chain, depth))
+    return _tower_potential(kind, f, base, generator, lambda level: tail(chain, level))
+
+
+def sawtooth_sampling(chain: FrequencyChain, depth: int) -> SamplingFunction:
+    """Materialized sawtooth tower; periods above the guard are rejected."""
+    return _family_potential("remark", chain, depth).sampling
+
+
 def sawtooth_potential(
     chain: FrequencyChain, depth: int, base: int = 0, generator: int = 1
 ) -> Potential:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return _tower_potential(
-        "remark",
-        sawtooth_sampling(chain, depth),
-        base,
-        generator,
-        lambda level: _float_up(sawtooth_tail(chain, level)),
-    )
+    return _family_potential("remark", chain, depth, base, generator)
 
 
 def metric_potential(
     chain: FrequencyChain, depth: int, base: int = 0, generator: int = 1
 ) -> Potential:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return _tower_potential(
-        "metric", metric_sampling(chain, depth), base, generator, lambda level: 2.0**-level
-    )
+    return _family_potential("metric", chain, depth, base, generator)
 
 
 def sampled_potential(
@@ -468,18 +455,13 @@ class GordonReport(NamedTuple):
     margins: tuple[GordonMargin, ...]
 
 
-def gordon_check(
-    V: Potential,
-    q_list: Sequence[int],
-    log_threshold: Optional[Callable[[int, int], float]] = None,
-) -> GordonReport:
+def gordon_check(V: Potential, q_list: Sequence[int]) -> GordonReport:
     """Check the Gordon periodic-approximation condition along the scales q_list.
 
     Scale j passes when ``max_{1 <= n <= q_j} |V(n) - V(n +- q_j)| <= j**-q_j``.
     Thresholds are compared in log space since ``j**-q_j`` underflows doubles
-    once ``q_j * log(j)`` passes about 700.  ``log_threshold(j, q)`` overrides
-    the default rule ``-q * log(j)``.  The j = 1 threshold is 1 and is applied
-    literally.  V is read once, in one window, after q_list is checked.
+    once ``q_j * log(j)`` passes about 700.  The j = 1 threshold is 1 and is
+    applied literally.  V is read once, in one window, after q_list is checked.
     """
     if any(q <= prev for q, prev in zip(q_list, (0, *q_list))):
         raise ValueError("q_list must be strictly increasing positive integers")
@@ -492,7 +474,7 @@ def gordon_check(
         for n in range(q_max, q_max + q):
             v = w[n]
             max_diff = max(max_diff, abs(v - w[n + q]), abs(v - w[n - q]))
-        log_thr = log_threshold(j, q) if log_threshold else -q * math.log(j) + 0.0
+        log_thr = -q * math.log(j) + 0.0
         log_diff = math.log(max_diff) if max_diff > 0 else -math.inf
         ok = log_diff <= log_thr
         all_ok = all_ok and ok

@@ -3,7 +3,10 @@
 An element is a truncation of an inverse-limit point: residues ``x_1, ..., x_J``
 with ``x_j mod n_i = x_i`` for ``i <= j``.  Integer points have ``x_j = k mod n_j``
 and are dense; everything here computes with truncations at an explicit level J,
-with metric statements carrying a tail bound of ``2**-J``.
+with metric statements carrying a tail bound of ``2**-J``.  A level-J truncation
+is the group ``Z/n_J``: the top residue ``x_J`` decides every lower one, so sums,
+negatives, restrictions, embeddings and quotients are all built from it by
+``ProcyclicElement.from_int``.
 
 The metric is the standard product-topology metric with discrete factors:
 ``dist(x, y) = sum_j 2**-j * [x_j != y_j] / 2`` as an exact dyadic rational.
@@ -59,18 +62,12 @@ class ProcyclicElement:
 
     def __add__(self, other: "ProcyclicElement") -> "ProcyclicElement":
         self._check_compatible(other)
-        moduli = self.chain.terms(self.level)
-        return ProcyclicElement(
-            self.chain,
-            self.level,
-            tuple((x + y) % n for x, y, n in zip(self.residues, other.residues, moduli)),
+        return ProcyclicElement.from_int(
+            self.chain, self.level, self.residues[-1] + other.residues[-1]
         )
 
     def __neg__(self) -> "ProcyclicElement":
-        moduli = self.chain.terms(self.level)
-        return ProcyclicElement(
-            self.chain, self.level, tuple((-x) % n for x, n in zip(self.residues, moduli))
-        )
+        return ProcyclicElement.from_int(self.chain, self.level, -self.residues[-1])
 
     def __sub__(self, other: "ProcyclicElement") -> "ProcyclicElement":
         return self + (-other)
@@ -181,7 +178,8 @@ class QuotientMap:
     """Reduction onto a procyclic quotient, aligned level by level.
 
     Each target level t is matched with the first source level whose modulus the
-    target modulus divides; applying the map reduces that source residue.
+    target modulus divides.  When x reaches every matched level, each target
+    modulus divides n at x's level, so applying the map reduces x's top residue.
     """
 
     source: FrequencyChain
@@ -199,24 +197,15 @@ class QuotientMap:
             raise ValueError("element lives over a different chain than the map source")
         if level is None:
             level = 0
-            while True:
-                candidate = level + 1
-                try:
-                    self.target.nth_term(candidate)
-                except ValueError:
-                    break
-                if self.source_level_for(candidate) > x.level:
-                    break
-                level = candidate
+            top = None if self.target.rule else len(self.target.prefix)
+            while level != top and self.source_level_for(level + 1) <= x.level:
+                level += 1
             if level == 0:
                 raise ValueError("element level too shallow for any target level")
-        residues = []
         for t in range(1, level + 1):
-            j = self.source_level_for(t)
-            if j > x.level:
+            if self.source_level_for(t) > x.level:
                 raise ValueError(f"element level {x.level} cannot reach target level {t}")
-            residues.append(x.residues[j - 1] % self.target.nth_term(t))
-        return ProcyclicElement(self.target, level, tuple(residues))
+        return ProcyclicElement.from_int(self.target, level, x.residues[-1])
 
     def alignment(self, depth: int) -> list[tuple[int, int]]:
         return [(t, self.source_level_for(t)) for t in range(1, depth + 1)]
@@ -240,8 +229,7 @@ def restrict_to_subchain(x: ProcyclicElement, step: int) -> ProcyclicElement:
     level = x.level // step
     if level < 1:
         raise ValueError(f"element level {x.level} too shallow for step {step}")
-    residues = tuple(x.residues[i * step - 1] for i in range(1, level + 1))
-    return ProcyclicElement(sub, level, residues)
+    return ProcyclicElement.from_int(sub, level, x.residues[-1])
 
 
 def embed_from_subchain(
@@ -254,9 +242,4 @@ def embed_from_subchain(
     """
     if y.chain != chain.subchain(step):
         raise ValueError("element does not live on the subchain of the given chain")
-    level = y.level * step
-    moduli = chain.terms(level)
-    residues = tuple(
-        y.residues[-(-j // step) - 1] % moduli[j - 1] for j in range(1, level + 1)
-    )
-    return ProcyclicElement(chain, level, residues)
+    return ProcyclicElement.from_int(chain, y.level * step, y.residues[-1])

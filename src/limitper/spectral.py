@@ -242,11 +242,11 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     mu_k is where bisection of ``[-outer, outer]`` on "at least k Dirichlet
     eigenvalues of sites 0..p-2 lie at or below E" ends.  Fences whose
     bisections have taken the same turns so far share one bracket, so one
-    Sturm count at its midpoint sends fences 1..c left and the rest right.  A
-    fence alone in its bracket is finished by ``_bisect``.  Every fence sees
-    the same midpoints and the same counts as its own bisection from
-    ``[-outer, outer]``, so the fences are bitwise those of p - 1 separate
-    bisections.
+    Sturm count at its midpoint sends fences 1..c left and the rest right; a
+    bracket that floating point cannot split puts all its fences at its
+    midpoint.  Every fence sees the same midpoints and the same counts as its
+    own bisection from ``[-outer, outer]``, so the fences are bitwise those of
+    p - 1 separate bisections.
     """
     p = len(vals)
     outer = 3.0 + max(abs(v) for v in vals)
@@ -256,10 +256,8 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     while stack:
         lo, hi, first, last = stack.pop()
         mid = (lo + hi) / 2.0
-        if first == last or not lo < mid < hi:
-            for k in range(first, last + 1):
-                above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
-                fences[k] = _bisect(above, lo, hi)
+        if not lo < mid < hi:
+            fences[first : last + 1] = [mid] * (last - first + 1)
             continue
         c = eigenvalue_count(dirichlet, mid)
         if first <= c:

@@ -615,3 +615,13 @@ def test_a_flag_followed_by_a_real_flag_is_still_an_error(capsys, follower):
         main(argv)
     assert exit_info.value.code == 2
     assert "--energy-min: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", "-1e3"])
+def test_an_abbreviated_flag_is_refused_whatever_its_value(capsys, value):
+    argv = ["lyapunov", "--potential", PERIODIC, "--energy-mi", value, "--energy-max", "1",
+            "--energy-points", "1", "--size", "8"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --energy-mi {value}" in capsys.readouterr().err
