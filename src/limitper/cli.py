@@ -195,6 +195,14 @@ def _build_chain(obj, path: str) -> FrequencyChain:
         return FrequencyChain.from_json_dict(data)
 
 
+def _classifiable_chain(obj, path: str) -> FrequencyChain:
+    """The chain at ``path``, refused there when a prime factor of 2**64 or more hides its order."""
+    chain = _build_chain(obj, path)
+    with _blame(path):
+        chain.limit()
+    return chain
+
+
 def build_potential(descriptor, seed: int) -> Potential:
     """Construct a potential from its config object, reporting errors with field paths."""
     data = _parse_json_flag(descriptor, "potential")
@@ -263,8 +271,8 @@ def _write_csv(header: Sequence[str], rows, out: Optional[str], config_hash: str
 
 
 def cmd_classify(config: ExperimentConfig) -> int:
-    a = _build_chain(config.chain, "chain")
-    b = _build_chain(config.chain_b, "chain_b")
+    a = _classifiable_chain(config.chain, "chain")
+    b = _classifiable_chain(config.chain_b, "chain_b")
     comparison = hulls_isomorphic(a, b)
     cert = comparison.to_json_dict()
     out = {
@@ -281,7 +289,7 @@ def cmd_classify(config: ExperimentConfig) -> int:
 
 
 def cmd_maximal_chain(config: ExperimentConfig) -> int:
-    chain = _build_chain(config.chain, "chain")
+    chain = _classifiable_chain(config.chain, "chain")
     with _blame("depth"):
         refined = maximal_chain(chain, config.depth)
     _write_json(
@@ -341,8 +349,8 @@ def cmd_orbit(config: ExperimentConfig) -> int:
 
 
 def cmd_quotient(config: ExperimentConfig) -> int:
-    source = _build_chain(config.chain, "chain")
-    target = _build_chain(config.target, "target")
+    source = _classifiable_chain(config.chain, "chain")
+    target = _classifiable_chain(config.target, "target")
     with _blame("target"):
         qmap = quotient(source, target)
     depth = config.depth if config.depth is not None else min(4, len(target.prefix))

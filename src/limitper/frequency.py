@@ -9,6 +9,9 @@ witnesses.
 Infinite chains are represented finitely as a prefix plus a cyclic ratio rule:
 after the prefix, consecutive ratios repeat the rule forever.  This makes the
 classification decidable and every reported quantity exactly computable.
+Only the order is factored, from the first entry and the ratios; the level at
+which an entry first divides another chain's entries is found by gcd growth,
+so witnesses and blockers need no factorization however deep they lie.
 """
 
 import cmath
@@ -78,10 +81,6 @@ class FrequencyChain:
             i += 1
         return out
 
-    def ratio_at(self, j: int) -> int:
-        """Ratio from entry j to entry j+1."""
-        return self.nth_term(j + 1) // self.nth_term(j)
-
     def subchain(self, step: int) -> "FrequencyChain":
         """The chain of every ``step``-th entry; an infinite subchain has the same hull."""
         if step < 1:
@@ -103,26 +102,18 @@ class FrequencyChain:
         ]
         return FrequencyChain(tuple(new_prefix), tuple(new_rule))
 
-    def entry_factorization(self, j: int) -> dict[int, int]:
-        """Factorization of the j-th entry, assembled from the chain's small parts.
-
-        Entries deep in a chain overflow any direct factoring limit, but they
-        are products of the first entry and the consecutive ratios, which stay
-        small; factoring those pieces is always feasible.
-        """
-        factors = dict(factorize(self.nth_term(1)))
-        for i in range(1, j):
-            for p, e in factorize(self.ratio_at(i)).items():
-                factors[p] = factors.get(p, 0) + e
-        return factors
-
     def limit(self) -> Supernatural:
         """Supernatural limit of the chain: exponent sup over all entries.
 
-        Primes occurring in the cyclic rule recur forever and get exponent INF;
-        every other prime tops out in the last prefix entry.
+        Deep entries overflow any direct factoring limit, so the order is
+        assembled from the chain's small parts: the first entry and the prefix
+        ratios give the last prefix entry, and primes occurring in the cyclic
+        rule recur forever and get exponent INF.
         """
-        factors: dict[int, float | int] = dict(self.entry_factorization(len(self.prefix)))
+        factors: dict[int, float | int] = dict(factorize(self.prefix[0]))
+        for a, b in zip(self.prefix, self.prefix[1:]):
+            for p, e in factorize(b // a).items():
+                factors[p] = factors.get(p, 0) + e
         for r in self.rule:
             for p in factorize(r):
                 factors[p] = INF
@@ -189,26 +180,28 @@ def maximal_chain(chain: FrequencyChain, depth: Optional[int] = None) -> Frequen
     return FrequencyChain(tuple(refined), tuple(new_rule))
 
 
-def first_level_divisible(
-    chain: FrequencyChain, n: int, n_factors: dict[int, int]
-) -> Optional[int]:
+def first_level_divisible(chain: FrequencyChain, n: int) -> Optional[int]:
     """Smallest level j with n dividing the j-th entry, or None when no level works.
 
-    ``n_factors`` is the factorization of n, which can be too large to factor
-    directly (deep chain entries).
+    Past the prefix a full rule cycle multiplies an entry by the product of the
+    rule, so when a cycle leaves ``gcd(n, n_j)`` unchanged, the part of n still
+    missing shares no prime with the rule and no later entry supplies it.
+    Nothing is factored, so n may be far past any factoring limit.
     """
-    need = Supernatural.from_factors(n_factors)
-    if not need.divides(chain.limit()):
-        return None
-    max_exp = max((int(e) for _, e in need.pairs), default=0)
-    cycle = len(chain.rule) if chain.rule else 0
-    cap = len(chain.prefix) + cycle * (max_exp + 1) + 1
-    if not chain.rule:
-        cap = len(chain.prefix)
-    for j in range(1, cap + 1):
-        if chain.nth_term(j) % n == 0:
+    for j, value in enumerate(chain.prefix, start=1):
+        if value % n == 0:
             return j
-    raise AssertionError(f"divisibility level for {n} not found within {cap} entries")
+    if not chain.rule:
+        return None
+    j, value, cycle_gcd = len(chain.prefix), chain.prefix[-1], None
+    while (g := math.gcd(n, value)) != cycle_gcd:
+        cycle_gcd = g
+        for r in chain.rule:
+            value *= r
+            j += 1
+            if value % n == 0:
+                return j
+    return None
 
 
 @dataclass(frozen=True)
@@ -243,27 +236,21 @@ class HullComparison:
         return out
 
 
-def _available_depth(chain: FrequencyChain, wanted: int) -> int:
-    return wanted if chain.rule else min(wanted, len(chain.prefix))
+def _find_blocker(a: FrequencyChain, la: Supernatural, lb: Supernatural) -> Optional[int]:
+    """An entry of ``a``, of limit ``la``, that divides no entry of a chain of limit ``lb``.
 
-
-def _find_blocker(a: FrequencyChain, b: FrequencyChain) -> Optional[int]:
-    """An entry of ``a`` that divides no entry of ``b``; None if a's limit divides b's."""
-    lb = b.limit()
-    for p, e in a.limit().pairs:
+    None when ``la`` divides ``lb``.
+    """
+    for p, e in la.pairs:
         if e > lb.exponent(p):  # so lb's exponent of p is finite
-            t = int(lb.exponent(p)) + 1  # p**t can be too large to factor, so pass {p: t}
-            return a.nth_term(first_level_divisible(a, p**t, {p: t}))
+            return a.nth_term(first_level_divisible(a, p ** (int(lb.exponent(p)) + 1)))
     return None
 
 
 def _witnesses(a: FrequencyChain, b: FrequencyChain, entries: int) -> tuple[tuple[int, int], ...]:
     """``(n, m)`` for a's first ``entries`` entries n, m the first entry of b that n divides."""
-    pairs = []
-    for i in range(1, _available_depth(a, entries) + 1):
-        j = first_level_divisible(b, a.nth_term(i), a.entry_factorization(i))
-        pairs.append((a.nth_term(i), b.nth_term(j)))
-    return tuple(pairs)
+    depth = entries if a.rule else min(entries, len(a.prefix))
+    return tuple((n, b.nth_term(first_level_divisible(b, n))) for n in a.terms(depth))
 
 
 _CERT_ENTRIES = 8
@@ -279,10 +266,10 @@ def hulls_isomorphic(a: FrequencyChain, b: FrequencyChain) -> HullComparison:
     """
     la, lb = a.limit(), b.limit()
     if la != lb:
-        blocker_a = _find_blocker(a, b)
+        blocker_a = _find_blocker(a, la, lb)
         if blocker_a is not None:
             return HullComparison(False, la, lb, blocker=("a", blocker_a))
-        return HullComparison(False, la, lb, blocker=("b", _find_blocker(b, a)))
+        return HullComparison(False, la, lb, blocker=("b", _find_blocker(b, lb, la)))
     forward, backward = _witnesses(a, b, _CERT_ENTRIES), _witnesses(b, a, _CERT_ENTRIES)
     return HullComparison(True, la, lb, forward, backward)
 

@@ -187,7 +187,7 @@ class QuotientMap:
 
     def source_level_for(self, t: int) -> int:
         m = self.target.nth_term(t)
-        j = first_level_divisible(self.source, m, self.target.entry_factorization(t))
+        j = first_level_divisible(self.source, m)
         if j is None:
             raise ValueError(f"target modulus {m} divides no source entry")
         return j

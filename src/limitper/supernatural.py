@@ -68,11 +68,13 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer below 2**64 as {prime: exponent}."""
+    """Prime factorization of a positive integer as {prime: exponent}.
+
+    Trial division to 1000 comes first, so a smooth n of any size factors; a
+    cofactor left at or above 2**64 is refused by ``is_prime``.
+    """
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
-    if n >= _PRIME_LIMIT:
-        raise ValueError(f"factorization is limited to integers below 2**64, got {n}")
     factors: dict[int, int] = {}
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         while n % p == 0:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -260,6 +262,8 @@ PERIODIC = '{"kind":"periodic","values":[0.5,-0.5]}'
 TOWER = '{"kind":"remark","chain":{"prefix":[2],"rule":[2]}'  # close with the last field
 # one layer over the chain [1, 2]; close the layer, the list and the object
 LAYERS = '{"kind":"layers","chain":{"prefix":[1,2]},"layers":[{"period":1,"values":[0.5]'
+# the rule ratio 2**64 + 13 is a prime too large to certify, so the order cannot be computed
+UNFACTORABLE = '{"prefix":[2],"rule":[18446744073709551629]}'
 
 
 @pytest.mark.parametrize("kind, descriptor", [("iid", '{"kind":"iid"}'), ("periodic", PERIODIC)])
@@ -317,6 +321,17 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
           "--size", "1.5"), "size"),
         (("spectrum", "--potential", TOWER + ',"depth":8}', "--level", "10"), "level"),
         (("orbit", "--chain", DYADIC, "--k", "1", "--level", "2", "--steps=--"), "steps"),
+        (("classify", "--chain", UNFACTORABLE, "--chain-b", DYADIC), "chain"),
+        (("classify", "--chain", DYADIC, "--chain-b", UNFACTORABLE), "chain_b"),
+        (("quotient", "--chain", UNFACTORABLE, "--target", '{"prefix":[2,4]}'), "chain"),
+        (("quotient", "--chain", DYADIC, "--target", UNFACTORABLE), "target"),
+        (("maximal-chain", "--chain", UNFACTORABLE), "chain"),
+        (("synth", "--potential", "[1]"), "potential"),
+        (("synth", "--potential", '{"kind":"layers","chain":{"prefix":[1,2]},"layers":[1]}'),
+         "potential.layers[0]"),
+        (("synth", "--potential", PERIODIC, "--nmin", "5", "--nmax", "4"), "nmax"),
+        (("lyapunov", "--potential", PERIODIC, "--energy-min", "-1e308", "--energy-max", "1e308"),
+         "energy_max"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
@@ -324,6 +339,17 @@ def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
     code, _, err = run(capsys, argv[0], "--out", str(tmp_path / "out"), *argv[1:])
     assert code == 2
     assert err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("text", [None, "{", "[1]"], ids=["missing", "invalid", "array"])
+def test_a_config_file_that_is_no_object_is_a_config_error(tmp_path, capsys, text):
+    conf = tmp_path / "run.json"
+    if text is not None:
+        conf.write_text(text)
+    code, _, err = run(capsys, "classify", "--chain", DYADIC, "--chain-b", DYADIC,
+                       "--config", str(conf))
+    assert code == 2
+    assert err.startswith("error: config:")
 
 
 def test_ids_checks_out_before_computing(capsys, monkeypatch):
@@ -566,6 +592,27 @@ def test_any_flag_text_exits_0_or_2_with_a_field_error(tmp_path, monkeypatch, ca
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("error: ")
+
+
+def _readme_commands():
+    """Every ``limitper ...`` line of README's sh blocks, as argv after the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["limitper"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the examples write their --out files here
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 RUN_SEED = "the run's `seed`"  # how the README names an iid object's default seed

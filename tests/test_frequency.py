@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitper import (
     INF,
@@ -16,9 +16,11 @@ from limitper import (
     chain_make,
     common_divisor_frequency,
     hulls_isomorphic,
+    factorize,
     maximal_chain,
     sawtooth_value,
 )
+from limitper.frequency import first_level_divisible
 
 from helpers import divisibility_oracle, isomorphic_variant, random_chain
 
@@ -91,12 +93,74 @@ def test_hulls_isomorphic_examples():
 
 
 def test_blocker_entry_past_the_factorization_limit():
-    # The blocker 2**64 is too large to factor, so it must be found from its known prime.
+    # The blocker 2**64 lies past the factoring limit; its level is found by gcd growth.
     dyadic, finite = chain_make([2], [2]), FrequencyChain.from_json_dict({"prefix": [2**63]})
     cmp = hulls_isomorphic(dyadic, finite)
     assert not cmp.isomorphic
     assert cmp.blocker == ("a", 2**64)
     assert hulls_isomorphic(finite, dyadic).blocker == ("b", 2**64)
+
+
+def test_blocker_against_a_smooth_entry_past_the_factorization_limit():
+    cmp = hulls_isomorphic(chain_make([2], [2]), FrequencyChain((1, 2**70)))
+    assert cmp.order_b == Supernatural.from_factors({2: 70})
+    assert cmp.blocker == ("a", 2**71)
+
+
+def _first_level_by_factors(chain, n, n_factors):
+    """The factor-based level search that gcd growth replaced, frozen as an oracle."""
+    need = Supernatural.from_factors(n_factors)
+    if not need.divides(chain.limit()):
+        return None
+    max_exp = max((int(e) for _, e in need.pairs), default=0)
+    cycle = len(chain.rule) if chain.rule else 0
+    cap = len(chain.prefix) + cycle * (max_exp + 1) + 1
+    if not chain.rule:
+        cap = len(chain.prefix)
+    for j in range(1, cap + 1):
+        if chain.nth_term(j) % n == 0:
+            return j
+    raise AssertionError(f"divisibility level for {n} not found within {cap} entries")
+
+
+def _past_two_to_64(p):
+    t = 1
+    while p**t < 2**64:
+        t += 1
+    return t
+
+
+@st.composite
+def chains_and_divisors(draw):
+    """A ruled or finite chain (maybe with a leading 1), n and n's factorization.
+
+    n is an entry times a small cofactor, an entry times a prime no ratio has
+    (so n divides nothing), or a prime power past 2**64 with its known factors.
+    """
+    prefix = [draw(st.sampled_from([1, 2, 3, 4, 6, 12, 30, 210]))]
+    for r in draw(st.lists(st.integers(2, 12), max_size=3)):
+        prefix.append(prefix[-1] * r)
+    chain = FrequencyChain(tuple(prefix), tuple(draw(st.lists(st.integers(2, 12), max_size=3))))
+    kind = draw(st.sampled_from(["entry", "nowhere", "prime power"]))
+    if kind == "prime power":
+        p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+        t = _past_two_to_64(p) + draw(st.integers(0, 2))
+        return chain, p**t, {p: t}
+    levels = len(prefix) + (8 if chain.rule else 0)
+    entry = chain.nth_term(draw(st.integers(1, levels)))
+    cofactors = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 25] if kind == "entry" else [13, 17, 13 * 17]
+    n = entry * draw(st.sampled_from(cofactors))
+    return chain, n, factorize(n)
+
+
+@settings(deadline=None, max_examples=300)
+@given(chains_and_divisors())
+# gcd(9, n_j) stays 1 from entry 1 to entry 2 and only grows over the full cycle [2, 3]
+@example((chain_make([2], [2, 3]), 9, {3: 2}))
+@example((chain_make([1, 2]), 4, {2: 2}))
+def test_first_level_divisible_matches_the_factor_based_search(case):
+    chain, n, n_factors = case
+    assert first_level_divisible(chain, n) == _first_level_by_factors(chain, n, n_factors)
 
 
 def test_certificate_witnesses_really_divide():

@@ -135,3 +135,19 @@ def test_factorize_reconstructs(n):
     factors = factorize(n)
     assert math.prod(p**e for p, e in factors.items()) == n
     assert all(is_prime(p) for p in factors)
+
+
+def test_factorize_smooth_numbers_past_two_to_64():
+    assert factorize(2**70 * 3**5) == {2: 70, 3: 5}
+    with pytest.raises(ValueError):
+        factorize(3 * (2**64 + 13))  # a prime cofactor past 2**64 cannot be certified
+
+
+# Trial division stops below 1000, so each of these leaves a composite
+# cofactor that Pollard rho has to split.
+@pytest.mark.parametrize("n", [1000003 * 1000033, 1009**2, (2**31 - 1) ** 2,
+                               4294967291 * 4294967279, 999983**3])
+def test_factorize_splits_composite_cofactors(n):
+    factors = factorize(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert all(is_prime(p) for p in factors)
