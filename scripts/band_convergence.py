@@ -13,7 +13,6 @@ import json
 from limitper import (
     chain_make,
     hausdorff_dist,
-    measure_estimate,
     sawtooth_potential,
     spectrum_approx,
 )
@@ -43,7 +42,7 @@ def main() -> None:
                 "period": approx.period,
                 "tail_bound": approx.tail_bound,
                 "bands": len(approx.band_set.intervals),
-                "measure": measure_estimate(approx.band_set),
+                "measure": approx.band_set.measure(),
                 "hausdorff_step": step,
             }
         )

@@ -61,7 +61,6 @@ from .spectral import (
     ids_curve,
     log_holder_report,
     lyapunov_estimate,
-    measure_estimate,
     spectrum_approx,
     transfer_product,
 )

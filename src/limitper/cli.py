@@ -196,7 +196,7 @@ def _build_chain(obj, path: str) -> FrequencyChain:
 
 
 def _classifiable_chain(obj, path: str) -> FrequencyChain:
-    """The chain at ``path``, refused there when a prime factor of 2**64 or more hides its order."""
+    """The chain at ``path``, refused there when a factor too large to certify hides its order."""
     chain = _build_chain(obj, path)
     with _blame(path):
         chain.limit()

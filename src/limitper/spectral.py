@@ -11,7 +11,13 @@ transfer product without its per-step rescale test, and falls back to the
 rescaled product only when one period grows past the rescale threshold.  Each
 band is bracketed by two neighbouring Dirichlet eigenvalues (one per gap),
 found together by multisection on the Sturm count: fences still sharing a
-bracket share each count.  Band edges are localized by bisection on Delta,
+bracket share each count.  A fence alone in its bracket ends where bisection
+on the count would end, found without bisecting: a safeguarded secant on the
+Dirichlet determinant locates the float where the count reaches the fence's
+index, and the bisection is replayed against that float.  This relies on the
+count being monotone in E, so fences where it need not be (near 0, where a
+zero pivot's nudge matters, and for ||V|| near the float range) are bisected
+on counts.  Band edges are localized by bisection on Delta,
 which stays stable where explicit polynomial coefficients would not.  The
 integrated density of states uses the symmetric tridiagonal inertia count,
 O(N) per energy with integer-valued counts.
@@ -179,10 +185,6 @@ class BandSet:
         return {"bands": [[lo, hi] for lo, hi in self.intervals]}
 
 
-def measure_estimate(b: BandSet) -> float:
-    return b.measure()
-
-
 def _point_distance(x: float, intervals: Sequence[tuple[float, float]]) -> float:
     best = math.inf
     for lo, hi in intervals:
@@ -236,6 +238,78 @@ def _bisect(side: Callable[[float], int], lo: float, hi: float, width: float = 0
     return (lo + hi) / 2.0
 
 
+def _sturm_det(values: Sequence[float], E: float) -> tuple[int, float]:
+    """``eigenvalue_count(values, E)`` and the product of the same pivots.
+
+    The product is the Dirichlet determinant ``det(H - E)`` (a zero pivot
+    enters as its nudge -1e-300), so its sign is ``(-1)**count``.  It may
+    underflow to 0 or overflow to infinity on long periods.
+    """
+    count = 0
+    det = 1.0
+    d = math.inf
+    for v in values:
+        d = (v - E) - 1.0 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = -1e-300
+            count += 1
+        det *= d
+    return count, det
+
+
+def _flip_point(
+    dirichlet: Sequence[float], k: int, a: float, fa: float, b: float, fb: float
+) -> float:
+    """Least float of ``(a, b]`` with at least k eigenvalues of ``dirichlet`` at or below it.
+
+    Needs counts below k at a and at least k at b, with determinants fa and fb.
+    The count at each guess decides which end it replaces; the determinants
+    only propose the guess, by a secant step with the Illinois halving of an
+    end kept twice.  A guess that lands on an end (its determinant is tiny
+    beside the other) moves to that end's neighbouring float.  The guess is
+    the midpoint when a determinant is zero or not finite, and after three
+    guesses in a row have failed to halve the bracket.  The search ends at
+    adjacent floats.
+    """
+    kept = 0  # 1 when b moved last, -1 when a did
+    stalled = 0  # guesses since the bracket last halved
+    halved_at = b - a
+    while True:
+        mid = (a + b) / 2.0
+        if not a < mid < b:
+            return b
+        x = mid
+        if stalled < 3 and 0.0 < abs(fa) < math.inf and 0.0 < abs(fb) < math.inf:
+            x = b - fb * ((b - a) / (fb - fa))
+            if x >= b:
+                x = math.nextafter(b, a)
+            elif x <= a:
+                x = math.nextafter(a, b)
+        c, f = _sturm_det(dirichlet, x)
+        if c >= k:
+            b, fb = x, f
+            if kept == 1:
+                fa /= 2.0
+            kept = 1
+        else:
+            a, fa = x, f
+            if kept == -1:
+                fb /= 2.0
+            kept = -1
+        if b - a <= halved_at / 2.0:
+            halved_at, stalled = b - a, 0
+        else:
+            stalled += 1
+
+
+# Below this |E| a nudged zero pivot (-1e-300) is as large as the rounding of
+# the other pivots, and the count is seen to go 5, 6, 5 across adjacent floats
+# near -1e-300 on a tiled period with exact zero pivots.
+_MONOTONE_FROM = 2.0**-900
+
+
 def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     """``[-outer, mu_1, ..., mu_{p-1}, outer]`` for the period ``vals``, ``outer = 3 + ||V||``.
 
@@ -245,25 +319,55 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     Sturm count at its midpoint sends fences 1..c left and the rest right; a
     bracket that floating point cannot split puts all its fences at its
     midpoint.  Every fence sees the same midpoints and the same counts as its
-    own bisection from ``[-outer, outer]``, so the fences are bitwise those of
-    p - 1 separate bisections.
+    own bisection from ``[-outer, outer]``.
+
+    A bracket left with one fence k is not bisected on counts.  The floating
+    point Sturm count is monotone in E (Kahan 1966; Demmel, Dhillon and Ren
+    1995), so each remaining step of that bisection turns on whether its
+    midpoint lies at or above the flip point, the least float whose count is
+    at least k.  ``_flip_point`` finds that float by a safeguarded secant on
+    the determinant, and the bisection is replayed against it with no count.
+    So the fences are bitwise those of p - 1 separate bisections.
+
+    Monotonicity needs pivots that neither overflow nor come near the -1e-300
+    that replaces a zero pivot.  So a fence is bisected on counts instead when
+    ||V|| is within a factor 2 of the float range, when its flip point lies
+    within ``_MONOTONE_FROM`` of 0, and when its bracket's end counts do not
+    straddle k, which monotonicity rules out.
     """
     p = len(vals)
     outer = 3.0 + max(abs(v) for v in vals)
     dirichlet = vals[:-1]
     fences = [-outer] * p + [outer]
-    stack = [(-outer, outer, 1, p - 1)]  # p = 1: one count, no fence
+    searchable = outer < 2.0**1023  # so that no V - E overflows
+    # brackets (left, right, first, last) with (E, count, det) at each end
+    bottom = (-outer, *_sturm_det(dirichlet, -outer))
+    top = (outer, *_sturm_det(dirichlet, outer))
+    stack = [(bottom, top, 1, p - 1)]  # p = 1: one count, no fence
     while stack:
-        lo, hi, first, last = stack.pop()
+        left, right, first, last = stack.pop()
+        lo, hi = left[0], right[0]
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:
             fences[first : last + 1] = [mid] * (last - first + 1)
             continue
-        c = eigenvalue_count(dirichlet, mid)
+        if first == last:
+            k = first
+            flip = math.nan  # fails the test below: bisect on counts
+            if searchable and left[1] < k <= right[1]:
+                flip = _flip_point(dirichlet, k, lo, left[2], hi, right[2])
+            if abs(flip) >= _MONOTONE_FROM:
+                fences[k] = _bisect(lambda e: 1 if e >= flip else -1, lo, hi)
+            else:
+                above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
+                fences[k] = _bisect(above, lo, hi)
+            continue
+        at_mid = (mid, *_sturm_det(dirichlet, mid))
+        c = at_mid[1]
         if first <= c:
-            stack.append((lo, mid, first, min(c, last)))
+            stack.append((left, at_mid, first, min(c, last)))
         if c < last:
-            stack.append((mid, hi, max(c + 1, first), last))
+            stack.append((at_mid, right, max(c + 1, first), last))
     return fences
 
 
@@ -278,8 +382,9 @@ def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
     ``(-1)**(p - j)``, left of it the opposite sign, so bisection on that sign
     finds a point inside the band, and bisection on |Delta| <= 2 from that
     point out to each fence finds its edges to width ``tol``.  The fences are
-    bisected with the Sturm count to float resolution (``_dirichlet_fences``):
-    a fence off by ``tol`` could sit inside a neighbouring band.  Every band is
+    the ends of Sturm-count bisections run to float resolution
+    (``_dirichlet_fences``): a fence off by ``tol`` could sit inside a
+    neighbouring band.  Every band is
     found; bands separated by less than ``tol`` (a closed gap) merge into one
     interval.
     """

@@ -18,25 +18,33 @@ INF = math.inf
 
 Exponent = Union[int, float]  # positive int, or INF
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_LIMIT = 1 << 64
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: Miller-Rabin to the first 13 prime bases is exact below it
+# (Sorenson and Webster, Math. Comp. 2017); about 3.3e24, or 2**81.4.
+_PRIME_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for ``n < 2**64``; larger inputs are rejected."""
+    """Deterministic primality test for ``n < psi_13 = 3317044064679887385961981``.
+
+    Miller-Rabin to the bases 2, 3, ..., 41 decides every n below psi_13 with
+    no probabilistic step; larger inputs without a small factor are rejected.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= _PRIME_LIMIT:
-        raise ValueError(f"primality testing is limited to integers below 2**64, got {n}")
+        raise ValueError(
+            f"primality testing is limited to integers below {_PRIME_LIMIT} (psi_13), got {n}"
+        )
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # This witness set decides primality for every n < 2**64.
+    # This witness set decides primality for every n < psi_13.
     for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -70,8 +78,9 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}.
 
-    Trial division to 1000 comes first, so a smooth n of any size factors; a
-    cofactor left at or above 2**64 is refused by ``is_prime``.
+    Trial division to 1000 comes first, so a smooth n of any size factors, and
+    Pollard rho splits the cofactor left.  A cofactor at or above psi_13 =
+    3317044064679887385961981 (about 2**81.4) is refused by ``is_prime``.
     """
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")

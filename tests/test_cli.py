@@ -40,6 +40,16 @@ def test_classify_distinct(capsys):
     assert doc["certificate"]["blocker"] == {"side": "a", "entry": 2}
 
 
+def test_classify_a_ratio_of_two_41_bit_primes(capsys):
+    # 1099511627791 * 1099511627803 is past 2**64 and below the certified limit psi_13
+    chain = '{"prefix":[2],"rule":[1208925819660808663073173]}'
+    code, out, err = run(capsys, "classify", "--chain", chain, "--chain-b", chain)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["isomorphic"] is True
+    assert doc["order_a"] == "2^1*1099511627791^inf*1099511627803^inf"
+
+
 def test_classify_deterministic_bytes(capsys):
     args = ("classify", "--chain", DYADIC, "--chain-b", DYADIC)
     _, first, _ = run(capsys, *args)
@@ -262,8 +272,8 @@ PERIODIC = '{"kind":"periodic","values":[0.5,-0.5]}'
 TOWER = '{"kind":"remark","chain":{"prefix":[2],"rule":[2]}'  # close with the last field
 # one layer over the chain [1, 2]; close the layer, the list and the object
 LAYERS = '{"kind":"layers","chain":{"prefix":[1,2]},"layers":[{"period":1,"values":[0.5]'
-# the rule ratio 2**64 + 13 is a prime too large to certify, so the order cannot be computed
-UNFACTORABLE = '{"prefix":[2],"rule":[18446744073709551629]}'
+# the rule ratio 2**89 - 1 is a prime too large to certify, so the order cannot be computed
+UNFACTORABLE = '{"prefix":[2],"rule":[618970019642690137449562111]}'
 
 
 @pytest.mark.parametrize("kind, descriptor", [("iid", '{"kind":"iid"}'), ("periodic", PERIODIC)])

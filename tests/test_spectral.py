@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,6 @@ from limitper import (
     ids_curve,
     log_holder_report,
     lyapunov_estimate,
-    measure_estimate,
     periodic_potential,
     sawtooth_potential,
     sawtooth_tail,
@@ -27,6 +27,7 @@ from limitper import (
     transfer_product,
 )
 
+from limitper import spectral
 from limitper.spectral import _bisect, _dirichlet_fences
 
 from helpers import exact_transfer
@@ -217,6 +218,92 @@ def test_dirichlet_fences_match_separate_bisections(q, k):
     assert [f.hex() for f in _dirichlet_fences(vals)] == [f.hex() for f in _old_fences(vals)]
 
 
+def _hexes(fences):
+    return [f.hex() for f in fences]
+
+
+@pytest.mark.parametrize("p, seed", [(100, 1), (100, 2), (256, 3)])
+def test_dirichlet_fences_match_separate_bisections_on_long_random_periods(p, seed):
+    rng = random.Random(seed)
+    vals = tuple(rng.uniform(-1.0, 1.0) for _ in range(p))
+    assert _hexes(_dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+def test_dirichlet_fences_match_separate_bisections_on_the_sawtooth(level):
+    vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(level))
+    assert _hexes(_dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+
+
+def test_dirichlet_fences_match_separate_bisections_where_the_count_is_not_monotone():
+    # Exact zero pivots, nudged to -1e-300, make the count dip back near -1e-300.
+    vals = (0.5, 2.0, -1.0, 0.0, 0.0, 0.0, 0.0) * 2
+    e = float.fromhex("-0x1.56e1fc2f8f359p-997")
+    below, above = math.nextafter(e, -math.inf), math.nextafter(e, math.inf)
+    assert [eigenvalue_count(vals[:-1], x) for x in (below, e, above)] == [5, 6, 5]
+    assert _hexes(_dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+
+
+@pytest.mark.parametrize("vals", [(0.0, 1e308), (0.5, -1.2e308), (0.0, 1e308, 0.0)])
+def test_dirichlet_fences_match_separate_bisections_near_the_float_range(vals):
+    # outer - (-outer) overflows, and so does the difference of the determinants there
+    assert _hexes(_dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_dirichlet_fences_need_at_most_20_sturm_counts_per_fence(monkeypatch):
+    # Bisecting each isolated fence to float resolution took about 47.
+    vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
+    calls = _count_calls(monkeypatch, spectral, ("eigenvalue_count", "_sturm_det"))
+    spectral._dirichlet_fences(vals)
+    assert sum(calls.values()) <= 20 * (len(vals) - 1)
+
+
+def test_dirichlet_fences_fall_back_to_counts_when_end_counts_do_not_straddle(monkeypatch):
+    # The outlying -10 and 10 put fences 1 and p - 1 in brackets that end at
+    # -outer and outer, the only ends whose counts the multisection never uses.
+    rng = random.Random(4)
+    vals = (-10.0, *(rng.uniform(-1.0, 1.0) for _ in range(30)), 10.0, 0.0)
+    outer = 13.0
+    sturm_det = spectral._sturm_det
+
+    def lying_at_the_outer_fences(values, E):
+        count, det = sturm_det(values, E)
+        # claim every eigenvalue left of -outer and none left of outer
+        return {-outer: len(values), outer: 0}.get(E, count), det
+
+    monkeypatch.setattr(spectral, "_sturm_det", lying_at_the_outer_fences)
+    searched = _count_calls(monkeypatch, spectral, ("_flip_point",))
+    assert _hexes(spectral._dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+    assert searched["_flip_point"] == len(vals) - 3  # fences 1 and p - 1 were bisected
+
+
+def test_bands_golden_digest():
+    # sha256 of every band edge's hex at levels 6-8 of the sawtooth tower read
+    # from base 37, recorded before the fences were located by secant search.
+    pot = sawtooth_potential(chain_make([2], [2]), 8, base=37)
+    edges = " ".join(
+        edge.hex()
+        for level in (6, 7, 8)
+        for interval in bands(pot.level_values(level), 1e-9).intervals
+        for edge in interval
+    )
+    digest = hashlib.sha256(edges.encode()).hexdigest()
+    assert digest == "a4717a4e0f6da2df85433f95ca58127b5b4531399f6a14e957c55c5af1444c48"
+
+
 def test_bands_free_potential():
     out = bands([0.0], tol=1e-9)
     assert len(out.intervals) == 1
@@ -295,7 +382,7 @@ def test_bands_match_numpy_eigenvalue_oracle(dyadic_spectra, level):
 
 
 def test_band_set_validation_and_measure():
-    assert measure_estimate(BandSet(((-2.0, 2.0),))) == 4.0
+    assert BandSet(((-2.0, 2.0),)).measure() == 4.0
     with pytest.raises(ValueError):
         BandSet(((0.0, 1.0), (0.5, 2.0)))
     with pytest.raises(ValueError):

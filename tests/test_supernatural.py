@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,8 +127,9 @@ def test_primality_against_sieve():
     for n in range(2000):
         assert is_prime(n) == sieve[n]
     assert is_prime(2**61 - 1)
+    assert is_prime(2**64 + 13)
     with pytest.raises(ValueError):
-        is_prime(2**64 + 13)
+        is_prime(2**89 - 1)
 
 
 @given(st.integers(2, 10**9))
@@ -139,14 +141,50 @@ def test_factorize_reconstructs(n):
 
 def test_factorize_smooth_numbers_past_two_to_64():
     assert factorize(2**70 * 3**5) == {2: 70, 3: 5}
+    assert factorize(3 * (2**64 + 13)) == {3: 1, 2**64 + 13: 1}
     with pytest.raises(ValueError):
-        factorize(3 * (2**64 + 13))  # a prime cofactor past 2**64 cannot be certified
+        factorize(3 * (2**89 - 1))  # a prime cofactor past psi_13 cannot be certified
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to the bases 2, 3, ..., 37
+PSI_13 = 3317044064679887385961981  # ... and to 41; the first n the witnesses cannot decide
+
+
+def test_primality_past_two_to_64_up_to_psi_13():
+    assert not is_prime(PSI_12)  # only the base 41 exposes it
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(PSI_13)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_factorize_seeded_products_of_40_bit_primes():
+    rng = random.Random(11)
+    for _ in range(20):
+        p, q = (_next_prime(rng.randrange(2**39, 2**40)) for _ in range(2))
+        assert p * q > 2**64
+        factors = factorize(p * q)
+        assert math.prod(f**e for f, e in factors.items()) == p * q
+        assert factors == ({p: 2} if p == q else {p: 1, q: 1})
+
+
+def test_factorize_refuses_a_large_prime_cofactor_at_psi_13_and_above():
+    big = 2**89 - 1  # a Mersenne prime, about 6.2e26
+    for n in (big, 1009 * big, PSI_13):
+        with pytest.raises(ValueError, match="psi_13"):
+            factorize(n)
 
 
 # Trial division stops below 1000, so each of these leaves a composite
-# cofactor that Pollard rho has to split.
+# cofactor that Pollard rho has to split; the last is past 2**64.
 @pytest.mark.parametrize("n", [1000003 * 1000033, 1009**2, (2**31 - 1) ** 2,
-                               4294967291 * 4294967279, 999983**3])
+                               4294967291 * 4294967279, 999983**3,
+                               1099511627791 * 1099511627803])
 def test_factorize_splits_composite_cofactors(n):
     factors = factorize(n)
     assert math.prod(p**e for p, e in factors.items()) == n
