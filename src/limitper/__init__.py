@@ -8,7 +8,6 @@ from .frequency import (
     bohr_coefficient,
     chain_limit,
     chain_make,
-    common_divisor_frequency,
     hulls_isomorphic,
     maximal_chain,
 )
@@ -29,22 +28,20 @@ from .procyclic import (
 from .potential import (
     ExtractionResult,
     GordonReport,
+    NoisePotential,
     PeriodicLayer,
     Potential,
     SamplingFunction,
     gordon_check,
     iid_uniform_potential,
     metric_potential,
-    metric_value,
     periodic_potential,
     periodize,
-    sample,
     sampled_potential,
     sampling_from_potential,
     sawtooth_potential,
     sawtooth_sampling,
     sawtooth_tail,
-    sawtooth_value,
 )
 from .spectral import (
     BandSet,

@@ -47,10 +47,6 @@ class FrequencyChain:
             if not isinstance(r, int) or r < 2:
                 raise ValueError(f"rule ratios must be integers >= 2, got {r!r}")
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.rule
-
     def nth_term(self, j: int) -> int:
         """The j-th chain entry, 1-indexed; total for every j >= 1 on ruled chains."""
         if j < 1:
@@ -291,13 +287,6 @@ def bohr_coefficient(d: Callable[[int], float], q: int, window: int) -> complex:
     for k in range(-window, window + 1):
         total += d(k) * phases[k % q]
     return total / (2 * window)
-
-
-def common_divisor_frequency(q1: int, q2: int) -> int:
-    """Denominator of the common divisor of the frequencies 2*pi/q1 and 2*pi/q2."""
-    if q1 < 1 or q2 < 1:
-        raise ValueError("frequencies must have positive integer denominators")
-    return math.lcm(q1, q2)
 
 
 @dataclass(frozen=True)

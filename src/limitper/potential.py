@@ -10,11 +10,13 @@ read along an orbit together with its certified per-level tails.  Two explicit
 families are built in.  The sawtooth tower sums ``(k mod n_j) / n_j**3`` over
 levels (wire kind "remark"), and the distance tower sums
 ``2**-(j+1) * [k mod n_j != 0]`` (wire kind "metric"), which is the distance
-from the k-th orbit point to the identity and generates a potential whose hull
-is the full group.  Explicit towers carry the wire kind "layers".  A tower of
-finite depth is exactly periodic along its orbit, so every finite-period kind
-(the three towers and "periodic") is read from one stored period of length
-``pot.period``, and evaluation never branches on which kind a potential has.
+from the k-th orbit point to the identity.  Its hull is the full group only
+along a minimal translation: from base 5 in steps of 3 on the chain 2, 6, 18,
+... no orbit index is a multiple of 3, so it has period 2 at every level.
+Explicit towers carry the wire kind "layers".  A tower of finite depth is
+exactly periodic along its orbit, so every finite-period kind (the three towers
+and "periodic") is read from one stored period of length ``pot.period``, and
+evaluation never branches on which kind a potential has.
 """
 
 import math
@@ -83,16 +85,6 @@ class SamplingFunction:
         )
         return _float_up(exact)
 
-    def sup_bound(self) -> float:
-        return self.tail_bound(0)
-
-
-def sample(
-    f: SamplingFunction, omega: ProcyclicElement, k: int, n: int, tol: float
-) -> float:
-    """The potential value ``f(omega + n*k)`` with certified absolute error below tol."""
-    return sampled_potential(f, omega, k, tol)(n)
-
 
 def periodize(f: SamplingFunction, level: int) -> SamplingFunction:
     """Average every layer finer than chain level ``level`` over its cosets.
@@ -129,11 +121,6 @@ def _float_up(x: Fraction) -> float:
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
-class ValueTail(NamedTuple):
-    value: float
-    tail_bound: float
-
-
 def sawtooth_tail(chain: FrequencyChain, depth: int) -> Fraction:
     """Exact sup-norm tail ``sum_{j > depth} (n_j - 1) / n_j**3`` of the sawtooth tower.
 
@@ -159,44 +146,18 @@ def sawtooth_tail(chain: FrequencyChain, depth: int) -> Fraction:
     return total
 
 
-def sawtooth_value(chain: FrequencyChain, depth: int, k: int) -> ValueTail:
-    """Partial sum ``sum_{j <= depth} (k mod n_j) / n_j**3`` with its exact tail bound.
-
-    The full series is the canonical explicit limit-periodic sequence attached
-    to a chain; each term is below ``1/n_j**2`` so ruled chains converge
-    geometrically.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    value = 0.0
-    for n in chain.terms(depth):
-        value += (k % n) / n**3
-    return ValueTail(value, _float_up(sawtooth_tail(chain, depth)))
-
-
-def metric_value(chain: FrequencyChain, depth: int, k: int) -> tuple[Fraction, Fraction]:
-    """Exact dyadic distance from the k-th orbit point to the identity, with tail 2**-depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    value = Fraction(0)  # the closed form, kept apart from procyclic.metric to check it
-    for j, n in enumerate(chain.terms(depth), start=1):
-        if k % n != 0:
-            value += Fraction(1, 2 ** (j + 1))
-    return value, Fraction(1, 2**depth)
-
-
 @dataclass(frozen=True)
 class Potential:
     """A two-sided sequence ``n -> V(n)`` with certified evaluation error and sup bound.
 
     ``kind`` matches the manifest wire names: "remark" (sawtooth tower),
     "metric" (distance tower), "layers" (explicit tower), "periodic" (one
-    explicit period), "iid" (seeded noise, for negative controls).  The three
-    tower kinds share one representation: ``sampling`` read at orbit index
-    ``base + n * generator``, with ``tails[l - 1]`` the certified tail of the
-    level-l approximant for l in ``1..depth``.  Every kind but "iid" stores
-    one period of finite values in ``values`` (a tower's orbit, read once)
-    and V(n) is ``values[n % period]``.
+    explicit period).  The three tower kinds share one representation:
+    ``sampling`` read at orbit index ``base + n * generator``, with
+    ``tails[l - 1]`` the certified tail of the level-l approximant for l in
+    ``1..depth``.  Every kind stores one period of finite values in ``values``
+    (a tower's orbit, read once) and V(n) is ``values[n % period]``.  Seeded
+    noise, which stores no period, is the subclass ``NoisePotential``.
     """
 
     kind: str
@@ -207,9 +168,6 @@ class Potential:
     sampling: Optional[SamplingFunction] = None
     tails: tuple[float, ...] = ()
     values: Optional[tuple[float, ...]] = None
-    seed: Optional[int] = None
-    low: float = 0.0
-    high: float = 1.0
 
     def __post_init__(self) -> None:
         if self.values is not None and not all(map(math.isfinite, self.values)):
@@ -228,29 +186,15 @@ class Potential:
         return len(self.values) if self.values is not None else None
 
     def value(self, n: int) -> float:
-        if self.values is not None:
-            return self.values[n % len(self.values)]
-        if self.kind == "iid":  # a bare generator: __init__ would seed it from the OS first
-            return self._iid_site(random.Random.__new__(random.Random), n)
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        return self.values[n % len(self.values)]
 
     __call__ = value
 
     def window(self, start: int, stop: int) -> list[float]:
         """``[V(n) for n in range(start, stop)]``, read in one pass."""
-        if self.values is not None:
-            p, count = len(self.values), max(stop - start, 0)
-            r = start % p
-            return (list(self.values[r:] + self.values[:r]) * (count // p + 1))[:count]
-        if self.kind == "iid":
-            rng = random.Random()
-            return [self._iid_site(rng, n) for n in range(start, stop)]
-        raise ValueError(f"unknown potential kind {self.kind!r}")
-
-    def _iid_site(self, rng: random.Random, n: int) -> float:
-        """The noise at site n: ``rng`` reseeded with "seed:n", one uniform draw, scaled."""
-        rng.seed(f"{self.seed}:{n}")
-        return self.low + (self.high - self.low) * rng.random()
+        p, count = len(self.values), max(stop - start, 0)
+        r = start % p
+        return (list(self.values[r:] + self.values[:r]) * (count // p + 1))[:count]
 
     def _check_level(self, level: int) -> None:
         if self.sampling is None:
@@ -267,6 +211,31 @@ class Potential:
         """One period of the level-``level`` periodic approximant along this orbit."""
         self._check_level(level)
         return _orbit_table(self.sampling.layers[:level], self.base, self.generator)
+
+
+@dataclass(frozen=True, kw_only=True)
+class NoisePotential(Potential):
+    """Seeded uniform noise between ``low`` and ``high``: wire kind "iid", a negative control."""
+
+    seed: int
+    low: float
+    high: float
+
+    def value(self, n: int) -> float:
+        # a bare generator: __init__ would seed it from the OS first
+        return self._iid_site(random.Random.__new__(random.Random), n)
+
+    __call__ = value
+
+    def window(self, start: int, stop: int) -> list[float]:
+        """``[V(n) for n in range(start, stop)]``, one generator reseeded per site."""
+        rng = random.Random()
+        return [self._iid_site(rng, n) for n in range(start, stop)]
+
+    def _iid_site(self, rng: random.Random, n: int) -> float:
+        """The noise at site n: ``rng`` reseeded with "seed:n", one uniform draw, scaled."""
+        rng.seed(f"{self.seed}:{n}")
+        return self.low + (self.high - self.low) * rng.random()
 
 
 def read_window(V: Callable[[int], float], start: int, stop: int) -> Iterable[float]:
@@ -301,7 +270,7 @@ def _tower_potential(
     return Potential(
         kind=kind,
         tol=f.residual_bound,
-        sup_bound=f.sup_bound(),
+        sup_bound=f.tail_bound(0),
         base=base,
         generator=generator,
         sampling=f,
@@ -381,13 +350,13 @@ def sampled_potential(
     return _tower_potential("layers", f, base, k, f.tail_bound)
 
 
-def iid_uniform_potential(seed: int, low: float = 0.0, high: float = 1.0) -> Potential:
+def iid_uniform_potential(seed: int, low: float = 0.0, high: float = 1.0) -> NoisePotential:
     """Seeded uniform noise; deterministic per (seed, n) and order-independent."""
     if high < low:
         raise ValueError("high must be >= low")
     if not math.isfinite(high - low):
         raise ValueError("high - low must be finite")
-    return Potential(
+    return NoisePotential(
         kind="iid",
         tol=0.0,
         sup_bound=max(abs(low), abs(high)),

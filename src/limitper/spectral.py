@@ -50,24 +50,6 @@ class TransferState:
         """Max-abs-entry norm; spectrally equivalent to the operator norm for 2x2."""
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
 
-    def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.m11, self.m12), (self.m21, self.m22))
-
-    def det(self) -> float:
-        """Determinant of the full product, rescale undone; products of the
-        one-step matrices are unimodular, so this should be 1 up to rounding."""
-        stored = self.m11 * self.m22 - self.m12 * self.m21
-        if stored == 0.0 or self.log_scale == 0.0:
-            return stored
-        log_mag = math.log(abs(stored)) + 2.0 * self.log_scale
-        if log_mag > 700.0:
-            return math.copysign(math.inf, stored)
-        return math.copysign(math.exp(log_mag), stored)
-
-    @classmethod
-    def identity(cls) -> "TransferState":
-        return cls(1.0, 0.0, 0.0, 1.0, 0.0)
-
 
 def transfer_product(
     V: Callable[[int], float], E: float, n_start: int, n_end: int
@@ -185,6 +167,12 @@ class BandSet:
         return {"bands": [[lo, hi] for lo, hi in self.intervals]}
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """``(lo + hi) / 2``, or the sum of the halves where the sum overflows."""
+    mid = (lo + hi) / 2.0
+    return lo / 2.0 + hi / 2.0 if math.isinf(mid) else mid
+
+
 def _point_distance(x: float, intervals: Sequence[tuple[float, float]]) -> float:
     best = math.inf
     for lo, hi in intervals:
@@ -202,7 +190,7 @@ def _directed_hausdorff(a: BandSet, b: BandSet) -> float:
     # or at gap midpoints of b that fall inside an interval of a.
     candidates = [p for lo, hi in a.intervals for p in (lo, hi)]
     for (lo1, hi1), (lo2, _) in zip(b.intervals, b.intervals[1:]):
-        mid = (hi1 + lo2) / 2.0
+        mid = _midpoint(hi1, lo2)
         if any(lo <= mid <= hi for lo, hi in a.intervals):
             candidates.append(mid)
     return max(_point_distance(x, b.intervals) for x in candidates)
@@ -225,7 +213,7 @@ def _bisect(side: Callable[[float], int], lo: float, hi: float, width: float = 0
     bracket is at most ``width`` wide or cannot be split in floating point.
     """
     while hi - lo > width:
-        mid = (lo + hi) / 2.0
+        mid = _midpoint(lo, hi)
         if not lo < mid < hi:
             break
         s = side(mid)
@@ -235,7 +223,7 @@ def _bisect(side: Callable[[float], int], lo: float, hi: float, width: float = 0
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
+    return _midpoint(lo, hi)
 
 
 def _sturm_det(values: Sequence[float], E: float) -> tuple[int, float]:
@@ -277,7 +265,7 @@ def _flip_point(
     stalled = 0  # guesses since the bracket last halved
     halved_at = b - a
     while True:
-        mid = (a + b) / 2.0
+        mid = _midpoint(a, b)
         if not a < mid < b:
             return b
         x = mid
@@ -347,7 +335,7 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     while stack:
         left, right, first, last = stack.pop()
         lo, hi = left[0], right[0]
-        mid = (lo + hi) / 2.0
+        mid = _midpoint(lo, hi)
         if not lo < mid < hi:
             fences[first : last + 1] = [mid] * (last - first + 1)
             continue
@@ -513,7 +501,6 @@ def spectrum_approx(V: Potential, level: int, tol: float = 1e-9) -> SpectrumAppr
 
 
 class ConditionAReport(NamedTuple):
-    bounded: bool
     witness: int
     sup_log_ratio: float
     scope: str  # "all-levels" for ruled chains, "prefix-only" otherwise
@@ -526,9 +513,9 @@ def condition_a_check(chain: FrequencyChain, depth: int) -> ConditionAReport:
 
     The witness is the least integer m >= 2 with ``m_{j+1} <= m_j**m``
     everywhere, found by exact integer comparisons.  For ruled chains the
-    cyclic ratios bound every level, so the verdict covers the whole chain
+    cyclic ratios bound every level, so the witness covers the whole chain
     (internally the scan is extended through one full cycle past the prefix).
-    A bare prefix only supports a verdict about the listed entries; that case
+    A bare prefix only supports a witness for the listed entries; that case
     is flagged, along with a strictly increasing trend in the log-ratios,
     which suggests the continuation is unbounded.
     """
@@ -559,7 +546,6 @@ def condition_a_check(chain: FrequencyChain, depth: int) -> ConditionAReport:
         x < y for x, y in zip(reported, reported[1:])
     )
     return ConditionAReport(
-        bounded=True,
         witness=witness,
         sup_log_ratio=max(log_ratios),
         scope=scope,

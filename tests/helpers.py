@@ -1,15 +1,71 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the library internals it
-checks: transfer products are redone in exact rational arithmetic, hull
-classification is re-verified by direct divisibility search, and chain
-generators only use the public constructor.
+checks: the sawtooth and distance towers are summed term by term from their
+closed forms (not read from layer tables or ``procyclic.metric``), transfer
+products are redone in exact rational arithmetic, hull classification is
+re-verified by direct divisibility search, and chain generators only use the
+public constructor.
 """
 
+import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
-from limitper import FrequencyChain, maximal_chain
+from limitper import FrequencyChain, maximal_chain, sawtooth_tail
+
+
+class ValueTail(NamedTuple):
+    value: float
+    tail_bound: float
+
+
+def sawtooth_value(chain: FrequencyChain, depth: int, k: int) -> ValueTail:
+    """Partial sum ``sum_{j <= depth} (k mod n_j) / n_j**3`` with its tail bound.
+
+    The sawtooth tower summed term by term instead of read from layer tables.
+    The tail bound is the least float at or above the exact tail.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    value = 0.0
+    for n in chain.terms(depth):
+        value += (k % n) / n**3
+    tail = sawtooth_tail(chain, depth)
+    bound = float(tail)
+    if Fraction(bound) < tail:
+        bound = math.nextafter(bound, math.inf)
+    return ValueTail(value, bound)
+
+
+def metric_value(chain: FrequencyChain, depth: int, k: int) -> tuple[Fraction, Fraction]:
+    """Exact dyadic distance from the k-th orbit point to the identity, with tail 2**-depth.
+
+    The closed form, kept apart from ``procyclic.metric`` so that tests can check it.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    value = Fraction(0)
+    for j, n in enumerate(chain.terms(depth), start=1):
+        if k % n != 0:
+            value += Fraction(1, 2 ** (j + 1))
+    return value, Fraction(1, 2**depth)
+
+
+def transfer_det(state) -> float:
+    """Determinant of a ``TransferState``'s full product, its log-scale undone.
+
+    Products of the one-step matrices are unimodular, so this should be 1 up
+    to rounding.
+    """
+    stored = state.m11 * state.m22 - state.m12 * state.m21
+    if stored == 0.0 or state.log_scale == 0.0:
+        return stored
+    log_mag = math.log(abs(stored)) + 2.0 * state.log_scale
+    if log_mag > 700.0:
+        return math.copysign(math.inf, stored)
+    return math.copysign(math.exp(log_mag), stored)
 
 
 def exact_transfer(values, E, count, start=0):

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from limitper import sawtooth_value, chain_make
+from limitper import chain_make
 from limitper.cli import _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, main
+
+from helpers import sawtooth_value
 
 DYADIC = '{"prefix":[2],"rule":[2]}'
 TRIADIC = '{"prefix":[3],"rule":[3]}'
@@ -260,6 +262,14 @@ def test_condition_a_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["witness"] == 2 and doc["scope"] == "all-levels"
+
+
+def test_condition_a_json_has_exactly_its_report_keys(capsys):
+    code, out, _ = run(capsys, "condition-a", "--chain", DYADIC, "--depth", "6")
+    assert code == 0
+    assert set(json.loads(out)) == {
+        "config_hash", "witness", "sup_log_ratio", "scope", "unbounded_trend", "log_ratios",
+    }
 
 
 def test_seed_validation(capsys):

@@ -14,15 +14,13 @@ from limitper import (
     bohr_coefficient,
     chain_limit,
     chain_make,
-    common_divisor_frequency,
     hulls_isomorphic,
     factorize,
     maximal_chain,
-    sawtooth_value,
 )
 from limitper.frequency import first_level_divisible
 
-from helpers import divisibility_oracle, isomorphic_variant, random_chain
+from helpers import divisibility_oracle, isomorphic_variant, random_chain, sawtooth_value
 
 
 def test_chain_make_examples():
@@ -273,14 +271,6 @@ def test_bohr_exact_dft_on_periodic_approximant():
         expect = dft + d(0) / (2 * N)
         got = bohr_coefficient(d, q, N)
         assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
-
-
-def test_common_divisor_frequency():
-    assert common_divisor_frequency(2, 4) == 4
-    assert common_divisor_frequency(4, 6) == math.lcm(4, 6) == 12
-    assert common_divisor_frequency(9, 9) == 9
-    with pytest.raises(ValueError):
-        common_divisor_frequency(0, 3)
 
 
 def test_frequency_module_view():

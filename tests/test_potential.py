@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitper import (
+    NoisePotential,
     PeriodicLayer,
     Potential,
     ProcyclicElement,
@@ -15,19 +17,16 @@ from limitper import (
     iid_uniform_potential,
     metric,
     metric_potential,
-    metric_value,
     periodic_potential,
     periodize,
-    sample,
     sampled_potential,
     sampling_from_potential,
     sawtooth_potential,
     sawtooth_sampling,
     sawtooth_tail,
-    sawtooth_value,
 )
 
-from helpers import random_chain
+from helpers import metric_value, random_chain, sawtooth_value
 
 DYADIC = chain_make([2], [2])
 
@@ -107,7 +106,7 @@ def test_sample_single_layer_parity():
     chain = chain_make([2])
     f = SamplingFunction(chain, (PeriodicLayer(2, (0.0, 1.0)),))
     ident = ProcyclicElement.identity(chain, 1)
-    assert [sample(f, ident, 1, n, 1e-9) for n in range(-3, 4)] == [
+    assert [sampled_potential(f, ident, 1, 1e-9)(n) for n in range(-3, 4)] == [
         1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0
     ]
 
@@ -117,7 +116,7 @@ def test_sample_agrees_with_sawtooth_formula():
     ident = ProcyclicElement.identity(DYADIC, 5)
     tol = 2 * f.residual_bound + 1e-12
     for n in range(-20, 21):
-        assert sample(f, ident, 1, n, tol) == pytest.approx(
+        assert sampled_potential(f, ident, 1, tol)(n) == pytest.approx(
             sawtooth_value(DYADIC, 5, n).value, abs=1e-15
         )
 
@@ -127,18 +126,19 @@ def test_sample_shift_identities():
     omega = ProcyclicElement.from_int(DYADIC, 5, 7)
     one = ProcyclicElement.from_int(DYADIC, 5, 1)
     tol = 1e-3
+    moved, pot = sampled_potential(f, omega + one, 1, tol), sampled_potential(f, omega, 1, tol)
     for n in range(-10, 10):
         # moving the base point one orbit step is the same as shifting the index
-        assert sample(f, omega + one, 1, n, tol) == sample(f, omega, 1, n + 1, tol)
+        assert moved(n) == pot(n + 1)
 
 
 def test_sample_requires_certifiable_tolerance():
     f = sawtooth_sampling(DYADIC, 4)
     ident = ProcyclicElement.identity(DYADIC, 4)
     with pytest.raises(ValueError):
-        sample(f, ident, 1, 0, f.residual_bound / 2)
+        sampled_potential(f, ident, 1, f.residual_bound / 2)(0)
     with pytest.raises(ValueError):
-        sample(f, ProcyclicElement.identity(DYADIC, 2), 1, 0, 1.0)
+        sampled_potential(f, ProcyclicElement.identity(DYADIC, 2), 1, 1.0)(0)
 
 
 def test_periodize_coset_average_exact():
@@ -172,9 +172,10 @@ def test_periodize_contracts_sup():
     f = SamplingFunction(chain, layers)
     g = periodize(f, 1)
     ident = ProcyclicElement.identity(chain, 3)
-    sup_f = max(abs(sample(f, ident, 1, n, 1e-9)) for n in range(-64, 64))
-    assert g.sup_bound() <= f.sup_bound() + 1e-12
-    assert max(abs(sample(g, ident, 1, n, 1e-9)) for n in range(-64, 64)) <= sup_f + 1e-12
+    on_f, on_g = sampled_potential(f, ident, 1, 1e-9), sampled_potential(g, ident, 1, 1e-9)
+    sup_f = max(abs(on_f(n)) for n in range(-64, 64))
+    assert g.tail_bound(0) <= f.tail_bound(0) + 1e-12
+    assert max(abs(on_g(n)) for n in range(-64, 64)) <= sup_f + 1e-12
 
 
 def test_periodize_orbit_periodicity_generator_independent():
@@ -186,10 +187,8 @@ def test_periodize_orbit_periodicity_generator_independent():
     ident = ProcyclicElement.identity(chain, 2)
 
     def is_two_periodic(fn, k):
-        return all(
-            sample(fn, ident, k, n + 2, 1e-9) == sample(fn, ident, k, n, 1e-9)
-            for n in range(-8, 8)
-        )
+        pot = sampled_potential(fn, ident, k, 1e-9)
+        return all(pot(n + 2) == pot(n) for n in range(-8, 8))
 
     # verdicts agree between the two generators, before and after periodizing
     assert (is_two_periodic(f, 1), is_two_periodic(f, 3)) == (False, False)
@@ -300,13 +299,13 @@ def test_potential_sup_bounds_hold():
         assert all(abs(pot(n)) <= pot.sup_bound + 1e-12 for n in range(-200, 200))
 
 
-def test_sampled_potential_matches_sample():
+def test_sampled_potential_matches_the_closed_form():
     f = sawtooth_sampling(DYADIC, 4)
     omega = ProcyclicElement.from_int(DYADIC, 4, 5)
     tol = 2 * f.residual_bound
     pot = sampled_potential(f, omega, 3, tol=tol)
     for n in range(-10, 10):
-        assert pot(n) == sample(f, omega, 3, n, tol)
+        assert pot(n) == sawtooth_value(DYADIC, 4, 5 + 3 * n).value
 
 
 def test_iid_potential_is_deterministic():
@@ -480,3 +479,27 @@ def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():
     expect = [-0.5 + 2.5 * random.Random(f"{2**40 + 3}:{n}").random() for n in range(-9, 9)]
     assert _bits(pot.window(-9, 9)) == _bits(expect)
     assert _bits(map(pot, range(-9, 9))) == _bits(expect)
+
+
+def test_potential_is_a_stored_period_and_seeded_noise_its_subclass():
+    fields = [f.name for f in dataclasses.fields(Potential)]
+    assert fields == ["kind", "tol", "sup_bound", "base", "generator", "sampling", "tails", "values"]
+    pot = iid_uniform_potential(7, -1.0, 2.0)
+    assert isinstance(pot, NoisePotential) and isinstance(pot, Potential)
+    assert (pot.kind, pot.seed, pot.low, pot.high) == ("iid", 7, -1.0, 2.0)
+    assert (pot.period, pot.chain, pot.depth, pot.base, pot.generator) == (None, None, None, 0, 1)
+    with pytest.raises(ValueError, match="potential kind 'iid' has no layer structure"):
+        pot.level_values(1)
+
+
+def test_metric_tower_along_a_non_minimal_translation_alternates_at_every_level():
+    # On the chain 2, 6, 18, ... the orbit 5 + 3n never meets a multiple of 3,
+    # so every layer past the first is constant along it: the hull is Z/2.
+    pot = metric_potential(chain_make([2], [3]), 5, base=5, generator=3)
+    assert pot.period == 54
+    for level in range(1, 6):
+        table = pot.level_values(level)
+        assert len(table) == 2 * 3 ** max(level - 2, 0)
+        assert table[0] != table[1]
+        assert all(v == table[i % 2] for i, v in enumerate(table))
+    assert pot.window(-7, 7) == [pot(1), pot(0)] * 7
