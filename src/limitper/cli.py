@@ -230,7 +230,18 @@ def _energy_grid(config: ExperimentConfig) -> list[float]:
         raise CliError("energy_max", "energy_max - energy_min must be a finite number")
     if points == 1:
         return [emin]
-    return [emin + (emax - emin) * i / (points - 1) for i in range(points)]
+    return [_grid_point(emin, emax, i, points - 1) for i in range(points)]
+
+
+def _grid_point(emin: float, emax: float, i: int, steps: int) -> float:
+    """``emin + (emax - emin) * i / steps``; if that product overflows, ``i / steps`` goes first.
+
+    The second form adds at most ``emax - emin`` to emin, which may round past emax.
+    """
+    span = (emax - emin) * i
+    if math.isfinite(span):
+        return emin + span / steps
+    return min(emin + (emax - emin) * (i / steps), emax)
 
 
 def _json_safe(obj):
@@ -304,7 +315,7 @@ def cmd_synth(config: ExperimentConfig) -> int:
     nmin, nmax = config.nmin, config.nmax
     if nmax < nmin:
         raise CliError("nmax", "must be >= nmin")
-    rows = [(n, pot(n)) for n in range(nmin, nmax + 1)]
+    rows = ((n, pot(n)) for n in range(nmin, nmax + 1))  # streamed to the CSV, never held
     chash = config.config_hash()
     _write_csv(("n", "value"), rows, config.out, chash)
     manifest = {

@@ -24,7 +24,8 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import cycle, islice
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .frequency import FrequencyChain
 from .procyclic import ProcyclicElement
@@ -191,10 +192,13 @@ class Potential:
     __call__ = value
 
     def window(self, start: int, stop: int) -> list[float]:
-        """``[V(n) for n in range(start, stop)]``, read in one pass."""
-        p, count = len(self.values), max(stop - start, 0)
-        r = start % p
-        return (list(self.values[r:] + self.values[:r]) * (count // p + 1))[:count]
+        """``[V(n) for n in range(start, stop)]`` as one list, for readers that index it."""
+        return list(self._sites(start, stop))
+
+    def _sites(self, start: int, stop: int) -> Iterator[float]:
+        """V at ``start, ..., stop - 1``, lazily: the period rotated to ``start``, cycled."""
+        r = start % len(self.values)
+        return islice(cycle(self.values[r:] + self.values[:r]), max(stop - start, 0))
 
     def _check_level(self, level: int) -> None:
         if self.sampling is None:
@@ -227,10 +231,10 @@ class NoisePotential(Potential):
 
     __call__ = value
 
-    def window(self, start: int, stop: int) -> list[float]:
-        """``[V(n) for n in range(start, stop)]``, one generator reseeded per site."""
+    def _sites(self, start: int, stop: int) -> Iterator[float]:
+        """V at ``start, ..., stop - 1``, lazily: one generator reseeded per site."""
         rng = random.Random()
-        return [self._iid_site(rng, n) for n in range(start, stop)]
+        return (self._iid_site(rng, n) for n in range(start, stop))
 
     def _iid_site(self, rng: random.Random, n: int) -> float:
         """The noise at site n: ``rng`` reseeded with "seed:n", one uniform draw, scaled."""
@@ -238,9 +242,14 @@ class NoisePotential(Potential):
         return self.low + (self.high - self.low) * rng.random()
 
 
-def read_window(V: Callable[[int], float], start: int, stop: int) -> Iterable[float]:
-    """V at ``start, ..., stop - 1``: a ``Potential``'s window, else V called site by site."""
-    return V.window(start, stop) if isinstance(V, Potential) else map(V, range(start, stop))
+def read_window(V: Callable[[int], float], start: int, stop: int) -> Iterator[float]:
+    """V at ``start, ..., stop - 1``, yielded one site at a time for a single pass.
+
+    A ``Potential`` streams its stored period, or its seeded draws, and holds
+    nothing else, so a pass over N sites takes memory independent of N.  Any
+    other V is called site by site.  ``Potential.window`` is the list form.
+    """
+    return V._sites(start, stop) if isinstance(V, Potential) else map(V, range(start, stop))
 
 
 def _orbit_table(layers: Sequence[PeriodicLayer], base: int, generator: int) -> list[float]:

@@ -57,7 +57,8 @@ def transfer_product(
     """Ordered product of one-step matrices ``[[E - V(n), -1], [1, 0]]`` over [n_start, n_end).
 
     New steps multiply on the left, propagating (u(n+1), u(n)).  An empty range
-    returns the identity with log-scale 0.  A ``Potential`` is read as one window.
+    returns the identity with log-scale 0.  V is streamed by ``read_window``, one
+    site per step, so the memory taken does not grow with the range.
     """
     if n_start > n_end:
         raise ValueError(f"n_start {n_start} must be <= n_end {n_end}")
@@ -468,7 +469,7 @@ def log_holder_report(curve: IDSCurve) -> dict:
             continue
         product = abs(k2 - k1) * math.log(1.0 / de) if de < 1.0 else 0.0
         worst = max(worst, product)
-        rows.append({"E": (e1 + e2) / 2.0, "dk": k2 - k1, "dE": de, "log_holder": product})
+        rows.append({"E": _midpoint(e1, e2), "dk": k2 - k1, "dE": de, "log_holder": product})
     return {"max_log_holder": worst, "pairs": rows}
 
 

@@ -10,6 +10,7 @@ public constructor.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -125,3 +126,13 @@ def isomorphic_variant(rng: random.Random, chain: FrequencyChain) -> FrequencyCh
     terms = chain.terms(len(chain.prefix) + extra)
     phase = extra % len(chain.rule)
     return FrequencyChain(tuple(terms), chain.rule[phase:] + chain.rule[:phase])
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of the memory Python allocates while ``fn()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -6,12 +6,12 @@ import shlex
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from limitper import chain_make
-from limitper.cli import _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, main
+from limitper.cli import _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, _grid_point, main
 
-from helpers import sawtooth_value
+from helpers import sawtooth_value, traced_peak_mib
 
 DYADIC = '{"prefix":[2],"rule":[2]}'
 TRIADIC = '{"prefix":[3],"rule":[3]}'
@@ -75,6 +75,16 @@ def test_synth_matches_library(tmp_path, capsys):
     assert manifest["kind"] == "remark"
     assert manifest["tolerance"] == float(sawtooth_value(chain, 6, 0).tail_bound)
     assert manifest["config_hash"] == lines[0].split("=", 1)[1]
+
+
+def test_synth_memory_does_not_grow_with_the_window(tmp_path, capsys):
+    # rows go to the file as they are read: a list of 200k rows is 18 MiB
+    synth = ["synth", "--potential", REMARK, "--nmin", "1", "--nmax", "200000"]
+    out = tmp_path / "pot.csv"
+    assert traced_peak_mib(lambda: main(synth + ["--out", str(out)])) < 1.0
+    lines = out.read_text().splitlines()
+    last = sawtooth_value(chain_make([2], [2]), 6, 200_000).value
+    assert len(lines) == 200_002 and lines[-1] == f"200000,{last!r}"
 
 
 def test_synth_zero_row_for_identity_orbit(tmp_path, capsys):
@@ -434,6 +444,33 @@ def test_config_file_ints_are_numbers(tmp_path, capsys):
         assert run(capsys, *argv, "--out", str(out), *extra)[0] == 0
         files.append(out.read_bytes())
     assert files[0] == files[1]  # same resolved config, same hash and rows
+
+
+def test_energy_grid_near_the_float_range_stays_inside_it(tmp_path, capsys):
+    out = tmp_path / "ids.csv"
+    code, stdout, _ = run(
+        capsys, "ids", "--potential", PERIODIC, "--energy-min", "-8e307", "--energy-max", "8e307",
+        "--energy-points", "3", "--size", "8", "--out", str(out),
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()[2:]
+    assert [float(row.split(",")[0]) for row in rows] == [-8e307, 0.0, 8e307]
+    assert sorted(r["E"] for r in json.loads(stdout)["worst_pairs"]) == [-4e307, 4e307]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1.7e308, 1.7e308), st.floats(0.0, 1.7e308), st.integers(1, 1000))
+def test_energy_grid_points_keep_their_bits_and_their_range(emin, width, steps):
+    emax = emin + width
+    assume(math.isfinite(emax) and emin <= emax and math.isfinite(emax - emin))
+    grid = [_grid_point(emin, emax, i, steps) for i in range(steps + 1)]
+    assert grid == sorted(grid)
+    for i, e in enumerate(grid):
+        span = (emax - emin) * i
+        if math.isfinite(span):  # the plain expression, bit for bit
+            assert e.hex() == (emin + span / steps).hex()
+        else:
+            assert emin <= e <= emax
 
 
 def test_single_energy_point_still_checks_range(tmp_path, capsys):

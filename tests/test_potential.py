@@ -26,6 +26,9 @@ from limitper import (
     sawtooth_tail,
 )
 
+from limitper import potential as potential_module
+from limitper.potential import read_window
+
 from helpers import metric_value, random_chain, sawtooth_value
 
 DYADIC = chain_make([2], [2])
@@ -411,7 +414,16 @@ potentials = st.builds(
 @given(potentials, st.integers(-2000, 2000), st.integers(-5, 120))
 def test_window_is_the_per_site_read_bitwise(pot, a, length):
     b = a + length  # empty for length <= 0, shorter and longer than every period drawn
-    assert _bits(pot.window(a, b)) == _bits([pot(n) for n in range(a, b)])
+    expect = _bits([pot(n) for n in range(a, b)])
+    assert _bits(pot.window(a, b)) == expect
+    stream = read_window(pot, a, b)
+    assert iter(stream) is stream
+    streamed = list(stream)
+    assert _bits(streamed) == expect
+    if pot.period is not None:  # a stored period: the very floats the window holds
+        assert all(x is y for x, y in zip(streamed, pot.window(a, b)))
+    doubled = read_window(lambda n: pot(n) * 2.0, a, b)  # a plain callable, called per site
+    assert _bits(doubled) == _bits([pot(n) * 2.0 for n in range(a, b)])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -465,10 +477,10 @@ def test_gordon_rejects_bad_scales_before_reading_a_window(monkeypatch, q_list):
         gordon_check(lambda n: sites.append(n) or 0.0, q_list)
     assert sites == []
 
-    def no_window(self, start, stop):
-        raise AssertionError("window built before q_list was checked")
+    def no_window(V, start, stop):
+        raise AssertionError("window read before q_list was checked")
 
-    monkeypatch.setattr(Potential, "window", no_window)
+    monkeypatch.setattr(potential_module, "read_window", no_window)
     with pytest.raises(ValueError, match="strictly increasing"):
         gordon_check(periodic_potential([0.0]), q_list)
 

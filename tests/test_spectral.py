@@ -18,6 +18,7 @@ from limitper import (
     hausdorff_dist,
     ids,
     ids_curve,
+    iid_uniform_potential,
     log_holder_report,
     lyapunov_estimate,
     periodic_potential,
@@ -30,7 +31,7 @@ from limitper import (
 from limitper import spectral
 from limitper.spectral import _bisect, _dirichlet_fences
 
-from helpers import exact_transfer, transfer_det
+from helpers import exact_transfer, traced_peak_mib, transfer_det
 
 ZERO = lambda n: 0.0
 
@@ -123,6 +124,16 @@ def test_lyapunov_constant_shift_identity_bitwise():
         assert lyapunov_estimate(lambda n: 0.5, E, 5000) == lyapunov_estimate(
             ZERO, E - 0.5, 5000
         )
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [iid_uniform_potential(3, -1.0, 1.0), sawtooth_potential(chain_make([2], [2]), 8)],
+    ids=["iid", "remark"],
+)
+def test_lyapunov_memory_does_not_grow_with_N(pot):
+    # the sites are streamed into the product: a list of 200k floats is 6 MiB
+    assert traced_peak_mib(lambda: lyapunov_estimate(pot, 0.3, 200_000)) < 1.0
 
 
 def test_discriminant_small_periods():
@@ -512,6 +523,11 @@ def test_log_holder_report_shape():
     report = log_holder_report(curve)
     assert report["max_log_holder"] == pytest.approx(0.3 * math.log(1000.0))
     assert len(report["pairs"]) == 2
+
+
+def test_log_holder_midpoint_does_not_overflow():
+    pairs = log_holder_report(IDSCurve((0.1, 0.3, 1e308, 1.5e308), (0.0, 0.5, 0.5, 1.0)))["pairs"]
+    assert [r["E"] for r in pairs] == [(0.1 + 0.3) / 2.0, (0.3 + 1e308) / 2.0, 1.25e308]
 
 
 def test_spectrum_approx_finite_chain_is_exact():
