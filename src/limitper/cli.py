@@ -1,9 +1,10 @@
 """Command-line driver for reproducible experiments.
 
 Each subcommand declares its fields and their defaults once, in ``_COMMANDS``;
-``_FIELDS`` gives every field's type and range.  A run resolves to an explicit
-config (flags, then the config file, the file winning, then the defaults)
-whose canonical-JSON sha256 is embedded in every output file, so outputs are
+``_FIELDS`` gives every field's type and range.  A run resolves in one pass to
+an explicit config of values (flags, then the config file, the file winning,
+then the defaults; JSON text parsed, potential objects defaulted) whose
+canonical-JSON sha256 is embedded in every output file, so outputs are
 byte-reproducible from the config alone.  CSV files carry the hash as a
 leading ``# config_hash=...`` comment line; JSON outputs carry a
 ``config_hash`` field.
@@ -62,14 +63,15 @@ class ExperimentConfig(SimpleNamespace):
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# kind: (parser of the flag text, what a value must be, the type test); the
-# kinds with no parser only occur in potential and layer objects
+# kind: (parser of the flag text, what a value must be, the type test once
+# JSON and int-list text is parsed); kinds with no parser occur only in objects
 _KINDS = {
     "int": (int, "an integer", lambda v: type(v) is int),
     # abs(v) <= float max compares exactly, so a huge int cannot overflow here.
     "number": (float, "a finite number",
                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    "json": (str, "JSON text or a parsed JSON value", lambda v: isinstance(v, (str, dict, list))),
+    "json": (str, "a chain object or its JSON text", lambda v: isinstance(v, dict)),
+    "potential": (str, "a potential object or its JSON text", lambda v: isinstance(v, dict)),
     "ints": (str, "comma-separated integers or a list of integers",
              lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
     "path": (str, "a path", lambda v: isinstance(v, str) and v != ""),
@@ -86,7 +88,7 @@ _FIELDS = {
     "chain": ("json", None),
     "chain_b": ("json", None),
     "target": ("json", None),
-    "potential": ("json", None),
+    "potential": ("potential", None),
     "q": ("ints", _COUNT),
     "depth": ("int", _COUNT),
     "level": ("int", _COUNT),
@@ -118,10 +120,17 @@ def _typed(path: str, kind: str, value):
     """``value`` if it fits ``kind``, else a CliError naming ``path``.
 
     An int is an int that is not a bool; a number a finite int or float,
-    returned as float so a flag and a file give the same config; JSON its text
-    or the parsed value; an int list comma-separated text or a list of ints.
-    Numbers and layers are typed entry by entry, at ``path[i]``.
+    returned as float so a flag and a file give the same config; a chain or a
+    potential an object or its JSON text, returned parsed; an int list
+    comma-separated text or a list of ints.  Numbers and layers are typed entry
+    by entry, at ``path[i]``, and a potential by its kind's fields, defaults
+    included.  Typing a typed value gives back an equal value.
     """
+    if kind in ("json", "potential") and isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except ValueError as exc:
+            raise CliError(path, f"invalid JSON ({exc})") from None
     if kind == "ints" and isinstance(value, str):
         try:
             value = [int(part) for part in value.split(",") if part.strip()]
@@ -134,6 +143,12 @@ def _typed(path: str, kind: str, value):
         return [_typed(f"{path}[{i}]", "number", v) for i, v in enumerate(value)]
     if kind == "layers":
         return [_resolve(f"{path}[{i}]", _LAYER, v, "a layer") for i, v in enumerate(value)]
+    if kind == "potential":
+        name = value.get("kind")
+        if not isinstance(name, str) or name not in _POTENTIALS:
+            raise CliError(f"{path}.kind", f"unknown kind {name!r}")
+        fields = {key: v for key, v in value.items() if key != "kind"}
+        return {"kind": name, **_resolve(path, _POTENTIALS[name][1], fields, f"kind {name!r}")}
     return float(value) if kind == "number" else value
 
 
@@ -178,44 +193,25 @@ def _blame(path: str, *also: type):
         raise CliError(path, str(exc)) from None
 
 
-def _parse_json_flag(text, path: str):
-    if not isinstance(text, str):
-        return text
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(path, f"invalid JSON ({exc})") from None
-
-
-def _build_chain(obj, path: str) -> FrequencyChain:
-    data = _parse_json_flag(obj, path)
-    if not isinstance(data, dict):
-        raise CliError(path, "expected a chain object {\"prefix\": [...], \"rule\": [...]}")
+def _build_chain(data: dict, path: str) -> FrequencyChain:
     with _blame(path, TypeError):
         return FrequencyChain.from_json_dict(data)
 
 
-def _classifiable_chain(obj, path: str) -> FrequencyChain:
+def _classifiable_chain(data: dict, path: str) -> FrequencyChain:
     """The chain at ``path``, refused there when a factor too large to certify hides its order."""
-    chain = _build_chain(obj, path)
+    chain = _build_chain(data, path)
     with _blame(path):
         chain.limit()
     return chain
 
 
 def build_potential(descriptor, seed: int) -> Potential:
-    """Construct a potential from its config object, reporting errors with field paths."""
-    data = _parse_json_flag(descriptor, "potential")
-    if not isinstance(data, dict):
-        raise CliError("potential", "expected a potential object")
-    kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _POTENTIALS:
-        raise CliError("potential.kind", f"unknown kind {kind!r}")
-    make, fields = _POTENTIALS[kind]
-    if "seed" in fields:  # an object without a seed of its own draws with the run's
-        fields = {**fields, "seed": seed}
-    values = {key: value for key, value in data.items() if key != "kind"}
-    args = _resolve("potential", fields, values, f"kind {kind!r}")
+    """The potential of an object or its JSON text, resolved or not; errors name field paths."""
+    args = _typed("potential", "potential", descriptor)
+    make = _POTENTIALS[args.pop("kind")][0]
+    if "seed" in args and args["seed"] is None:  # an iid object draws with the run's seed
+        args["seed"] = seed
     if "chain" in args:
         args["chain"] = _build_chain(args["chain"], "potential.chain")
     with _blame("potential"):
@@ -230,7 +226,7 @@ def _energy_grid(config: ExperimentConfig) -> list[float]:
         raise CliError("energy_max", "energy_max - energy_min must be a finite number")
     if points == 1:
         return [emin]
-    return [_grid_point(emin, emax, i, points - 1) for i in range(points)]
+    return [_grid_point(emin, emax, i, points - 1) for i in range(points - 1)] + [emax]
 
 
 def _grid_point(emin: float, emax: float, i: int, steps: int) -> float:
@@ -281,7 +277,7 @@ def _write_csv(header: Sequence[str], rows, out: Optional[str], config_hash: str
             target.close()
 
 
-def cmd_classify(config: ExperimentConfig) -> int:
+def cmd_classify(config: ExperimentConfig) -> None:
     a = _classifiable_chain(config.chain, "chain")
     b = _classifiable_chain(config.chain_b, "chain_b")
     comparison = hulls_isomorphic(a, b)
@@ -296,10 +292,9 @@ def cmd_classify(config: ExperimentConfig) -> int:
         },
     }
     _write_json(out, config.out)
-    return 0
 
 
-def cmd_maximal_chain(config: ExperimentConfig) -> int:
+def cmd_maximal_chain(config: ExperimentConfig) -> None:
     chain = _classifiable_chain(config.chain, "chain")
     with _blame("depth"):
         refined = maximal_chain(chain, config.depth)
@@ -307,10 +302,9 @@ def cmd_maximal_chain(config: ExperimentConfig) -> int:
         {"config_hash": config.config_hash(), "chain": refined.to_json_dict()},
         config.out,
     )
-    return 0
 
 
-def cmd_synth(config: ExperimentConfig) -> int:
+def cmd_synth(config: ExperimentConfig) -> None:
     pot = build_potential(config.potential, config.seed)
     nmin, nmax = config.nmin, config.nmax
     if nmax < nmin:
@@ -330,19 +324,17 @@ def cmd_synth(config: ExperimentConfig) -> int:
         manifest["chain"] = pot.chain.to_json_dict()
         manifest["depth"] = pot.depth
     _write_json(manifest, config.out + ".manifest.json")
-    return 0
 
 
-def cmd_detect_frequency(config: ExperimentConfig) -> int:
+def cmd_detect_frequency(config: ExperimentConfig) -> None:
     pot = build_potential(config.potential, config.seed)
     with _blame("window"):  # the window is shorter than some q
         coeffs = [(q, bohr_coefficient(pot, q, config.window)) for q in config.q]
     rows = [(q, c.real, c.imag, abs(c)) for q, c in coeffs]
     _write_csv(("q", "re", "im", "magnitude"), rows, config.out, config.config_hash())
-    return 0
 
 
-def cmd_orbit(config: ExperimentConfig) -> int:
+def cmd_orbit(config: ExperimentConfig) -> None:
     chain = _build_chain(config.chain, "chain")
     with _blame("level"):
         modulus = chain.nth_term(config.level)
@@ -356,10 +348,9 @@ def cmd_orbit(config: ExperimentConfig) -> int:
         },
         config.out,
     )
-    return 0
 
 
-def cmd_quotient(config: ExperimentConfig) -> int:
+def cmd_quotient(config: ExperimentConfig) -> None:
     source = _classifiable_chain(config.chain, "chain")
     target = _classifiable_chain(config.target, "target")
     with _blame("target"):
@@ -376,20 +367,18 @@ def cmd_quotient(config: ExperimentConfig) -> int:
         },
         config.out,
     )
-    return 0
 
 
-def cmd_spectrum(config: ExperimentConfig) -> int:
+def cmd_spectrum(config: ExperimentConfig) -> None:
     pot = build_potential(config.potential, config.seed)
     with _blame("level" if pot.depth is not None and config.level > pot.depth else "potential"):
         approx = spectrum_approx(pot, config.level, config.tol)
     out = approx.to_json_dict()
     out["config_hash"] = config.config_hash()
     _write_json(out, config.out)
-    return 0
 
 
-def cmd_ids(config: ExperimentConfig) -> int:
+def cmd_ids(config: ExperimentConfig) -> None:
     pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
     window = pot.window(1, config.size + 1)
@@ -407,19 +396,17 @@ def cmd_ids(config: ExperimentConfig) -> int:
         },
         None,
     )
-    return 0
 
 
-def cmd_lyapunov(config: ExperimentConfig) -> int:
+def cmd_lyapunov(config: ExperimentConfig) -> None:
     pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
     with _blame("potential"):  # the transfer product overflowed
         rows = [(e, lyapunov_estimate(pot, e, config.size), config.size) for e in grid]
     _write_csv(("E", "lyapunov", "N"), rows, config.out, config.config_hash())
-    return 0
 
 
-def cmd_gordon(config: ExperimentConfig) -> int:
+def cmd_gordon(config: ExperimentConfig) -> None:
     pot = build_potential(config.potential, config.seed)
     with _blame("q"):
         report = gordon_check(pot, config.q)
@@ -431,10 +418,9 @@ def cmd_gordon(config: ExperimentConfig) -> int:
         },
         config.out,
     )
-    return 0
 
 
-def cmd_condition_a(config: ExperimentConfig) -> int:
+def cmd_condition_a(config: ExperimentConfig) -> None:
     chain = _build_chain(config.chain, "chain")
     with _blame("depth"):
         report = condition_a_check(chain, config.depth)
@@ -442,12 +428,15 @@ def cmd_condition_a(config: ExperimentConfig) -> int:
     out["log_ratios"] = list(out["log_ratios"])
     out["config_hash"] = config.config_hash()
     _write_json(out, config.out)
-    return 0
 
 
 def _takes(**defaults) -> dict:
-    """A command's fields and defaults; None is unset (or derived by the command)."""
-    return {"seed": 0, "out": None, **defaults}
+    """A command's fields and defaults; None is unset (or derived by the command).
+
+    Only a command that takes a potential takes a seed, which its iid objects draw with.
+    """
+    seed = {"seed": 0} if "potential" in defaults else {}
+    return {**seed, "out": None, **defaults}
 
 
 _SWEEP = {"potential": REQUIRED, "energy_min": REQUIRED, "energy_max": REQUIRED,
@@ -552,14 +541,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_glue_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
-        config = _resolve_config(args)
-        return _COMMANDS[args.command][0](config)
+        _COMMANDS[args.command][0](_resolve_config(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

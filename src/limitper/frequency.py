@@ -36,7 +36,7 @@ class FrequencyChain:
         if not self.prefix:
             raise ValueError("chain prefix must be nonempty")
         for n in self.prefix:
-            if not isinstance(n, int) or n < 1:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ValueError(f"chain entries must be positive integers, got {n!r}")
         for a, b in zip(self.prefix, self.prefix[1:]):
             if b <= a:
@@ -44,7 +44,7 @@ class FrequencyChain:
             if b % a != 0:
                 raise ValueError(f"divisibility violated: {a} does not divide {b}")
         for r in self.rule:
-            if not isinstance(r, int) or r < 2:
+            if not isinstance(r, int) or isinstance(r, bool) or r < 2:
                 raise ValueError(f"rule ratios must be integers >= 2, got {r!r}")
 
     def nth_term(self, j: int) -> int:

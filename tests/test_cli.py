@@ -6,10 +6,13 @@ import shlex
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from limitper import chain_make
-from limitper.cli import _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, _grid_point, main
+from limitper.cli import (
+    _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, ExperimentConfig, _energy_grid, _grid_point,
+    main,
+)
 
 from helpers import sawtooth_value, traced_peak_mib
 
@@ -283,7 +286,8 @@ def test_condition_a_json_has_exactly_its_report_keys(capsys):
 
 
 def test_seed_validation(capsys):
-    code, _, err = run(capsys, "classify", "--chain", DYADIC, "--chain-b", DYADIC, "--seed", "-1")
+    code, _, err = run(capsys, "gordon", "--potential", '{"kind":"iid"}', "--q", "2",
+                       "--seed", "-1")
     assert code == 2
     assert "seed" in err
 
@@ -362,6 +366,9 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("synth", "--potential", PERIODIC, "--nmin", "5", "--nmax", "4"), "nmax"),
         (("lyapunov", "--potential", PERIODIC, "--energy-min", "-1e308", "--energy-max", "1e308"),
          "energy_max"),
+        (("maximal-chain", "--chain", '{"prefix":[true,2],"rule":[2]}'), "chain"),
+        (("synth", "--potential", '{"kind":"remark","chain":{"prefix":[1,2],"rule":[true]}}'),
+         "potential.chain"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
@@ -414,7 +421,7 @@ def test_ids_checks_out_before_computing(capsys, monkeypatch):
         (("gordon", "--potential", PERIODIC), "q", 4),
         (("classify", "--chain-b", DYADIC), "chain", 2),
         (("synth", "--nmin", "0", "--nmax", "1"), "potential", True),
-        (("classify", "--chain", DYADIC, "--chain-b", DYADIC), "seed", "7"),
+        (("gordon", "--potential", '{"kind":"iid"}', "--q", "2"), "seed", "7"),
         (("classify", "--chain", DYADIC, "--chain-b", DYADIC), "out", {"path": "x"}),
         pytest.param(("spectrum", "--potential", REMARK, "--level", "2"), "tol", 10**400,
                      id="argv17-tol-huge-int"),
@@ -471,6 +478,20 @@ def test_energy_grid_points_keep_their_bits_and_their_range(emin, width, steps):
             assert e.hex() == (emin + span / steps).hex()
         else:
             assert emin <= e <= emax
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308), st.integers(2, 1000))
+@example(0.1, 0.3, 101)  # the plain expression ends on 0.30000000000000004
+@example(-2.5, 2.9, 201)  # ... and on 2.9000000000000004
+@example(0.2, 0.9, 101)  # ... and on 0.8999999999999999
+def test_energy_grid_runs_from_energy_min_to_energy_max(a, b, points):
+    emin, emax = sorted((a, b))
+    assume(math.isfinite(emax - emin))
+    config = ExperimentConfig(energy_min=emin, energy_max=emax, energy_points=points)
+    grid = _energy_grid(config)
+    assert len(grid) == points and grid[0] == emin and grid[-1] == emax
+    assert grid == sorted(grid) and emin <= grid[-2] <= emax
 
 
 def test_single_energy_point_still_checks_range(tmp_path, capsys):
@@ -577,7 +598,7 @@ def _field_values(name, wild):
     """Values of the field's type, in its range unless the field is wild."""
     kind, bound = _FIELDS[name]
     fits = bound[0] if bound and not wild else (lambda v: True)
-    if kind == "json":
+    if kind in ("json", "potential"):
         objects = potentials if name == "potential" else chains
         own = objects | objects.map(json.dumps)
     elif kind == "ints":
@@ -729,3 +750,112 @@ def test_an_abbreviated_flag_is_refused_whatever_its_value(capsys, value):
         main(argv)
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: --energy-mi {value}" in capsys.readouterr().err
+
+
+def test_one_run_prints_one_hash_however_it_is_spelled(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"chain": RULED_CHAIN}))
+    spellings = [("--chain", '{"prefix": [2], "rule": [2]}'), ("--chain", DYADIC),
+                 ("--config", str(conf))]
+    hashes = {json.loads(run(capsys, "condition-a", *flags)[1])["config_hash"]
+              for flags in spellings}
+    assert len(hashes) == 1
+    towers = [TOWER + "}", TOWER + ',"depth":8,"base":0}', TOWER + ',"depth":7}']
+    bare, explicit, shallower = (
+        json.loads(run(capsys, "spectrum", "--potential", pot, "--level", "3")[1])["config_hash"]
+        for pot in towers)
+    assert bare == explicit != shallower  # a changed value changes the hash
+
+
+# Valid potentials and chains whose runs take milliseconds.
+tower_potentials = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["remark", "metric"]), "chain": st.just(RULED_CHAIN),
+     "depth": st.integers(1, 4)},
+    optional={"base": small_ints, "generator": small_ints},
+)
+valid_potentials = st.one_of(
+    tower_potentials,
+    st.fixed_dictionaries(
+        {"kind": st.just("layers"), "chain": st.just({"prefix": [1, 2]}),
+         "layers": st.just([{"period": 1, "values": [0.5]}, {"period": 2, "values": [0.25, 0.0]}])},
+        optional={"base": small_ints, "generator": small_ints, "tol": st.just(1e-6),
+                  "residual_bound": st.just(1e-10)},
+    ),
+    st.fixed_dictionaries({"kind": st.just("periodic"),
+                           "values": st.lists(st.floats(-2, 2), min_size=1, max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("iid")},
+                          optional={"seed": small_ints.filter(lambda s: s >= 0),
+                                    "low": st.just(-1.0), "high": st.just(2.0)}),
+)
+TWO_RULE_CHAIN = {"prefix": [2, 4], "rule": [3, 2]}
+valid_chains = st.sampled_from(FINITE_CHAINS + [RULED_CHAIN, TWO_RULE_CHAIN])
+two_ratio_chains = st.sampled_from([{"prefix": [2, 6]}, RULED_CHAIN, TWO_RULE_CHAIN])
+hashed_runs = st.one_of(
+    st.fixed_dictionaries({"potential": valid_potentials, "nmin": st.integers(-3, 0),
+                           "nmax": st.integers(0, 3)}, optional={"seed": st.integers(0, 9)})
+    .map(lambda conf: ("synth", conf)),
+    st.fixed_dictionaries({"potential": tower_potentials, "level": st.just(1)})
+    .map(lambda conf: ("spectrum", conf)),
+    st.fixed_dictionaries({"chain": two_ratio_chains, "depth": st.just(2)})
+    .map(lambda conf: ("condition-a", conf)),
+    st.fixed_dictionaries({"chain": valid_chains, "chain_b": valid_chains})
+    .map(lambda conf: ("classify", conf)),
+)
+SPACINGS = [(",", ":"), (", ", ": "), (" ,", " : ")]
+
+
+def _respelled(draw, value):
+    """``value`` with the keys of every object in a drawn order."""
+    if isinstance(value, dict):
+        return {key: _respelled(draw, value[key]) for key in draw(st.permutations(list(value)))}
+    if isinstance(value, list):
+        return [_respelled(draw, entry) for entry in value]
+    return value
+
+
+def _as_text(draw, value):
+    return json.dumps(_respelled(draw, value), indent=draw(st.sampled_from([None, 0, 2])),
+                      separators=draw(st.sampled_from(SPACINGS)))
+
+
+def _variant(draw, conf):
+    """``conf`` respelled: JSON reserialized, defaults made explicit, fields moved to the file."""
+    conf = dict(conf)
+    pot = conf.get("potential")
+    if pot is not None:
+        defaults = {k: d for k, d in _POTENTIALS[pot["kind"]][1].items() if d is not REQUIRED}
+        added = draw(st.sets(st.sampled_from(sorted(defaults)))) if defaults else set()
+        pot = {**pot, **{k: defaults[k] for k in added if k not in pot}}
+        if "chain" in pot and draw(st.booleans()):  # a potential's chain may be JSON text too
+            pot["chain"] = _as_text(draw, pot["chain"])
+        conf["potential"] = pot
+    flags, file_conf = [], {}
+    for name, value in conf.items():
+        as_json = _FIELDS[name][0] in ("json", "potential")
+        if draw(st.booleans()):
+            file_conf[name] = _as_text(draw, value) if as_json and draw(st.booleans()) else value
+        else:
+            text = _as_text(draw, value) if as_json else str(value)
+            flags += [f"--{name.replace('_', '-')}", text]
+    return flags, file_conf
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_respelled_config_gives_the_same_bytes(tmp_path, monkeypatch, capsys, data):
+    """JSON spacing and key order, explicit defaults and flag or file do not reach the hash."""
+    command, conf = data.draw(hashed_runs)
+    work = tmp_path / "work"
+    work.mkdir(exist_ok=True)
+    monkeypatch.chdir(work)
+    outputs = []
+    for flags, file_conf in [([], conf)] + [_variant(data.draw, conf) for _ in range(3)]:
+        for old in work.iterdir():
+            old.unlink()
+        (tmp_path / "run.json").write_text(json.dumps(file_conf))
+        code, _, err = run(capsys, command, *flags, "--out", "out",
+                           "--config", str(tmp_path / "run.json"))
+        assert (code, err) == (0, "")
+        outputs.append({p.name: p.read_bytes() for p in sorted(work.iterdir())})
+    assert all(files == outputs[0] for files in outputs[1:])

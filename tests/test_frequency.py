@@ -30,7 +30,8 @@ def test_chain_make_examples():
 
 @pytest.mark.parametrize(
     "prefix,rule",
-    [([2, 3], ()), ([], ()), ([2], [1]), ([4, 2], ()), ([2, 2], ()), ([0], ())],
+    [([2, 3], ()), ([], ()), ([2], [1]), ([4, 2], ()), ([2, 2], ()), ([0], ()),
+     ([True, 2], [2]), ([1, 2], [True])],  # True is an int equal to 1, but not an entry
 )
 def test_chain_make_rejects(prefix, rule):
     with pytest.raises(ValueError):
