@@ -3,8 +3,8 @@
 Each subcommand declares its fields and their defaults once, in ``_COMMANDS``;
 ``_FIELDS`` gives every field's type and range.  A run resolves in one pass to
 an explicit config of values (flags, then the config file, the file winning,
-then the defaults; JSON text parsed, potential objects defaulted) whose
-canonical-JSON sha256 is embedded in every output file, so outputs are
+then the defaults; JSON text parsed, chain and potential objects defaulted)
+whose canonical-JSON sha256 is embedded in every output file, so outputs are
 byte-reproducible from the config alone.  CSV files carry the hash as a
 leading ``# config_hash=...`` comment line; JSON outputs carry a
 ``config_hash`` field.
@@ -70,7 +70,7 @@ _KINDS = {
     # abs(v) <= float max compares exactly, so a huge int cannot overflow here.
     "number": (float, "a finite number",
                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    "json": (str, "a chain object or its JSON text", lambda v: isinstance(v, dict)),
+    "chain": (str, "a chain object or its JSON text", lambda v: isinstance(v, dict)),
     "potential": (str, "a potential object or its JSON text", lambda v: isinstance(v, dict)),
     "ints": (str, "comma-separated integers or a list of integers",
              lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
@@ -81,15 +81,15 @@ _KINDS = {
 
 _COUNT = (lambda v: v >= 1, ">= 1")
 
-# field: (kind, range as (test, text) or None); an "ints" range holds for every entry
+# field: (kind, range as (test, text) or None)
 _FIELDS = {
     "seed": ("int", (lambda v: 0 <= v < 2**64, "in 0..2**64-1")),
     "out": ("path", None),
-    "chain": ("json", None),
-    "chain_b": ("json", None),
-    "target": ("json", None),
+    "chain": ("chain", None),
+    "chain_b": ("chain", None),
+    "target": ("chain", None),
     "potential": ("potential", None),
-    "q": ("ints", _COUNT),
+    "q": ("ints", (lambda v: v != [] and min(v) >= 1, "a nonempty list of integers >= 1")),
     "depth": ("int", _COUNT),
     "level": ("int", _COUNT),
     "size": ("int", _COUNT),
@@ -102,7 +102,7 @@ _FIELDS = {
     "tol": ("number", (lambda v: v > 0, "> 0")),
     "energy_min": ("number", None),
     "energy_max": ("number", None),
-    # fields of potential and layer objects only
+    # fields of potential, layer and chain objects only
     "base": ("int", None),
     "generator": ("int", None),
     "low": ("number", None),
@@ -111,6 +111,8 @@ _FIELDS = {
     "values": ("numbers", None),
     "layers": ("layers", None),
     "period": ("int", _COUNT),
+    "prefix": ("ints", None),
+    "rule": ("ints", None),
 }
 
 REQUIRED = object()  # the default of a field that has none
@@ -123,10 +125,10 @@ def _typed(path: str, kind: str, value):
     returned as float so a flag and a file give the same config; a chain or a
     potential an object or its JSON text, returned parsed; an int list
     comma-separated text or a list of ints.  Numbers and layers are typed entry
-    by entry, at ``path[i]``, and a potential by its kind's fields, defaults
+    by entry, at ``path[i]``, and a chain or a potential by its fields, defaults
     included.  Typing a typed value gives back an equal value.
     """
-    if kind in ("json", "potential") and isinstance(value, str):
+    if kind in ("chain", "potential") and isinstance(value, str):
         try:
             value = json.loads(value)
         except ValueError as exc:
@@ -143,6 +145,8 @@ def _typed(path: str, kind: str, value):
         return [_typed(f"{path}[{i}]", "number", v) for i, v in enumerate(value)]
     if kind == "layers":
         return [_resolve(f"{path}[{i}]", _LAYER, v, "a layer") for i, v in enumerate(value)]
+    if kind == "chain":
+        return _resolve(path, _CHAIN, value, "a chain")
     if kind == "potential":
         name = value.get("kind")
         if not isinstance(name, str) or name not in _POTENTIALS:
@@ -156,8 +160,9 @@ def _resolve(path: str, fields: dict, values, owner: str) -> dict:
     """``values`` typed, defaulted and range-checked against ``fields`` (name: default).
 
     Serves a command (``path`` is "", fields go by their bare names and a key
-    that is not a field can only come from the config file), a potential
-    object and a layer object; ``owner`` names what the fields belong to.
+    that is not a field can only come from the config file), a chain object, a
+    potential object and a layer object; ``owner`` names what the fields belong
+    to.  A range tests the whole value, so a list's range is a test of the list.
     """
     if not isinstance(values, dict):
         raise CliError(path, f"expected {owner} object")
@@ -177,9 +182,8 @@ def _resolve(path: str, fields: dict, values, owner: str) -> dict:
             value = default
         if value is not None and bound is not None:
             test, text = bound
-            if not all(map(test, value if kind == "ints" else [value])):
-                entry = "every entry " if kind == "ints" else ""
-                raise CliError(where, f"{entry}must be {text}, got {json.dumps(value)}")
+            if not test(value):
+                raise CliError(where, f"must be {text}, got {json.dumps(value)}")
         resolved[name] = value
     return resolved
 
@@ -194,8 +198,8 @@ def _blame(path: str, *also: type):
 
 
 def _build_chain(data: dict, path: str) -> FrequencyChain:
-    with _blame(path, TypeError):
-        return FrequencyChain.from_json_dict(data)
+    with _blame(path):
+        return FrequencyChain(**data)
 
 
 def _classifiable_chain(data: dict, path: str) -> FrequencyChain:
@@ -281,15 +285,17 @@ def cmd_classify(config: ExperimentConfig) -> None:
     a = _classifiable_chain(config.chain, "chain")
     b = _classifiable_chain(config.chain_b, "chain_b")
     comparison = hulls_isomorphic(a, b)
-    cert = comparison.to_json_dict()
+    if comparison.isomorphic:
+        cert = {"forward": comparison.forward, "backward": comparison.backward}
+    else:
+        side, entry = comparison.blocker
+        cert = {"blocker": {"side": side, "entry": entry}}
     out = {
         "config_hash": config.config_hash(),
         "isomorphic": comparison.isomorphic,
         "order_a": comparison.order_a.format(),
         "order_b": comparison.order_b.format(),
-        "certificate": {
-            key: cert[key] for key in ("forward", "backward", "blocker") if key in cert
-        },
+        "certificate": cert,
     }
     _write_json(out, config.out)
 
@@ -478,6 +484,7 @@ _POTENTIALS = {
 }
 
 _LAYER = {"period": REQUIRED, "values": REQUIRED}
+_CHAIN = {"prefix": REQUIRED, "rule": []}
 
 
 def _build_parser() -> argparse.ArgumentParser:

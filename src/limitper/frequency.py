@@ -121,12 +121,6 @@ class FrequencyChain:
             out["rule"] = list(self.rule)
         return out
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FrequencyChain":
-        if "prefix" not in obj:
-            raise ValueError("chain object must have a \"prefix\" field")
-        return cls(tuple(obj["prefix"]), tuple(obj.get("rule", ())))
-
 
 def chain_make(prefix: Iterable[int], rule: Iterable[int] = ()) -> FrequencyChain:
     return FrequencyChain(tuple(prefix), tuple(rule))
@@ -216,20 +210,6 @@ class HullComparison:
     forward: tuple[tuple[int, int], ...] = ()
     backward: tuple[tuple[int, int], ...] = ()
     blocker: Optional[tuple[str, int]] = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "isomorphic": self.isomorphic,
-            "order_a": self.order_a.to_json_dict(),
-            "order_b": self.order_b.to_json_dict(),
-        }
-        if self.isomorphic:
-            out["forward"] = [list(pair) for pair in self.forward]
-            out["backward"] = [list(pair) for pair in self.backward]
-        else:
-            side, entry = self.blocker
-            out["blocker"] = {"side": side, "entry": entry}
-        return out
 
 
 def _find_blocker(a: FrequencyChain, la: Supernatural, lb: Supernatural) -> Optional[int]:

@@ -79,18 +79,6 @@ class ProcyclicElement:
             return self
         return ProcyclicElement(self.chain, level, self.residues[:level])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "chain": self.chain.to_json_dict(),
-            "level": self.level,
-            "residues": list(self.residues),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ProcyclicElement":
-        chain = FrequencyChain.from_json_dict(obj["chain"])
-        return cls(chain, int(obj["level"]), tuple(obj["residues"]))
-
 
 class MetricResult(NamedTuple):
     value: Fraction

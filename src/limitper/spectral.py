@@ -15,9 +15,9 @@ bracket share each count.  A fence alone in its bracket ends where bisection
 on the count would end, found without bisecting: a safeguarded secant on the
 Dirichlet determinant locates the float where the count reaches the fence's
 index, and the bisection is replayed against that float.  This relies on the
-count being monotone in E, so fences where it need not be (near 0, where a
-zero pivot's nudge matters, and for ||V|| near the float range) are bisected
-on counts.  Band edges are localized by bisection on Delta,
+count being monotone in E, which a zero pivot nudged to -5e-324 keeps, so
+only fences where it need not be (for ||V|| near the float range) are
+bisected on counts.  Band edges are localized by bisection on Delta,
 which stays stable where explicit polynomial coefficients would not.  The
 integrated density of states uses the symmetric tridiagonal inertia count,
 O(N) per energy with integer-valued counts.
@@ -230,9 +230,9 @@ def _bisect(side: Callable[[float], int], lo: float, hi: float, width: float = 0
 def _sturm_det(values: Sequence[float], E: float) -> tuple[int, float]:
     """``eigenvalue_count(values, E)`` and the product of the same pivots.
 
-    The product is the Dirichlet determinant ``det(H - E)`` (a zero pivot
-    enters as its nudge -1e-300), so its sign is ``(-1)**count``.  It may
-    underflow to 0 or overflow to infinity on long periods.
+    The product is the Dirichlet determinant ``det(H - E)``, so its sign is
+    ``(-1)**count``.  It may underflow to 0 or overflow to infinity on long
+    periods, and it is infinite or NaN after an exact zero pivot.
     """
     count = 0
     det = 1.0
@@ -242,7 +242,7 @@ def _sturm_det(values: Sequence[float], E: float) -> tuple[int, float]:
         if d < 0.0:
             count += 1
         elif d == 0.0:
-            d = -1e-300
+            d = -5e-324
             count += 1
         det *= d
     return count, det
@@ -293,12 +293,6 @@ def _flip_point(
             stalled += 1
 
 
-# Below this |E| a nudged zero pivot (-1e-300) is as large as the rounding of
-# the other pivots, and the count is seen to go 5, 6, 5 across adjacent floats
-# near -1e-300 on a tiled period with exact zero pivots.
-_MONOTONE_FROM = 2.0**-900
-
-
 def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     """``[-outer, mu_1, ..., mu_{p-1}, outer]`` for the period ``vals``, ``outer = 3 + ||V||``.
 
@@ -318,11 +312,9 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     the determinant, and the bisection is replayed against it with no count.
     So the fences are bitwise those of p - 1 separate bisections.
 
-    Monotonicity needs pivots that neither overflow nor come near the -1e-300
-    that replaces a zero pivot.  So a fence is bisected on counts instead when
-    ||V|| is within a factor 2 of the float range, when its flip point lies
-    within ``_MONOTONE_FROM`` of 0, and when its bracket's end counts do not
-    straddle k, which monotonicity rules out.
+    Monotonicity needs pivots that do not overflow.  So a fence is bisected on
+    counts instead when ||V|| is within a factor 2 of the float range and when
+    its bracket's end counts do not straddle k, which monotonicity rules out.
     """
     p = len(vals)
     outer = 3.0 + max(abs(v) for v in vals)
@@ -345,7 +337,7 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
             flip = math.nan  # fails the test below: bisect on counts
             if searchable and left[1] < k <= right[1]:
                 flip = _flip_point(dirichlet, k, lo, left[2], hi, right[2])
-            if abs(flip) >= _MONOTONE_FROM:
+            if not math.isnan(flip):
                 fences[k] = _bisect(lambda e: 1 if e >= flip else -1, lo, hi)
             else:
                 above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
@@ -410,8 +402,11 @@ def eigenvalue_count(values: Sequence[float], E: float) -> int:
     Sturm inertia count on the symmetric tridiagonal matrix with unit
     off-diagonals: negative pivots of ``d_i = (V(i) - E) - 1/d_{i-1}``.  A zero
     pivot means E is exactly an eigenvalue of a leading minor; it is nudged to
-    -1e-300 so the eigenvalue is counted.  The pivot before the first is taken
-    as infinite, so the first pivot is exactly ``V(0) - E``.
+    -5e-324 so the eigenvalue is counted.  Then the next pivot is +inf and the
+    one after is exact: IEEE arithmetic's own treatment of a zero pivot, for
+    which the count is monotone in E (Demmel, Dhillon and Ren 1995).  The pivot
+    before the first is taken as infinite, so the first pivot is exactly
+    ``V(0) - E``.
     """
     count = 0
     d = math.inf
@@ -420,7 +415,7 @@ def eigenvalue_count(values: Sequence[float], E: float) -> int:
         if d < 0.0:
             count += 1
         elif d == 0.0:
-            d = -1e-300
+            d = -5e-324
             count += 1
     return count
 

@@ -222,19 +222,3 @@ class Supernatural:
         for p, e in self.pairs:
             n *= p ** int(e)
         return n
-
-    def to_json_dict(self) -> dict[str, Union[int, str]]:
-        return {str(p): ("inf" if e == INF else int(e)) for p, e in self.pairs}
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping[str, Union[int, str]]) -> "Supernatural":
-        factors: dict[int, Exponent] = {}
-        for key, val in obj.items():
-            p = int(key)
-            if val == "inf":
-                factors[p] = INF
-            elif isinstance(val, int) and not isinstance(val, bool):
-                factors[p] = val
-            else:
-                raise ValueError(f"exponent of {p} must be an integer or \"inf\", got {val!r}")
-        return cls.from_factors(factors)

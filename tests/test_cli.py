@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from limitper import chain_make
 from limitper.cli import (
-    _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, ExperimentConfig, _energy_grid, _grid_point,
-    main,
+    _CHAIN, _COMMANDS, _FIELDS, _LAYER, _POTENTIALS, REQUIRED, ExperimentConfig, _energy_grid,
+    _grid_point, main,
 )
 
 from helpers import sawtooth_value, traced_peak_mib
@@ -366,9 +366,14 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("synth", "--potential", PERIODIC, "--nmin", "5", "--nmax", "4"), "nmax"),
         (("lyapunov", "--potential", PERIODIC, "--energy-min", "-1e308", "--energy-max", "1e308"),
          "energy_max"),
-        (("maximal-chain", "--chain", '{"prefix":[true,2],"rule":[2]}'), "chain"),
+        (("maximal-chain", "--chain", '{"prefix":[true,2],"rule":[2]}'), "chain.prefix"),
         (("synth", "--potential", '{"kind":"remark","chain":{"prefix":[1,2],"rule":[true]}}'),
-         "potential.chain"),
+         "potential.chain.rule"),
+        (("gordon", "--potential", PERIODIC, "--q", ","), "q"),
+        (("detect-frequency", "--potential", REMARK, "--q", ""), "q"),
+        (("condition-a", "--chain", '{"prefix":2}'), "chain.prefix"),
+        (("condition-a", "--chain", '{"rule":[2]}'), "chain.prefix"),
+        (("condition-a", "--chain", '{"prefix":null,"rule":[2]}'), "chain.prefix"),
     ],
 )
 def test_zero_counts_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
@@ -598,11 +603,11 @@ def _field_values(name, wild):
     """Values of the field's type, in its range unless the field is wild."""
     kind, bound = _FIELDS[name]
     fits = bound[0] if bound and not wild else (lambda v: True)
-    if kind in ("json", "potential"):
+    if kind in ("chain", "potential"):
         objects = potentials if name == "potential" else chains
         own = objects | objects.map(json.dumps)
     elif kind == "ints":
-        own = st.lists(small_ints.filter(fits), max_size=4)
+        own = st.lists(small_ints, max_size=4).filter(fits)
         own = own | own.map(lambda q: ",".join(map(str, q)))
     else:
         own = {"int": small_ints, "number": floats, "path": words.filter(bool)}[kind].filter(fits)
@@ -760,6 +765,9 @@ def test_one_run_prints_one_hash_however_it_is_spelled(tmp_path, capsys):
     hashes = {json.loads(run(capsys, "condition-a", *flags)[1])["config_hash"]
               for flags in spellings}
     assert len(hashes) == 1
+    ruleless = {json.loads(run(capsys, "condition-a", "--chain", chain)[1])["config_hash"]
+                for chain in ('{"prefix":[2,4]}', '{"prefix":[2,4],"rule":[]}')}
+    assert len(ruleless) == 1  # an omitted rule is hashed as its default []
     towers = [TOWER + "}", TOWER + ',"depth":8,"base":0}', TOWER + ',"depth":7}']
     bare, explicit, shallower = (
         json.loads(run(capsys, "spectrum", "--potential", pot, "--level", "3")[1])["config_hash"]
@@ -818,20 +826,28 @@ def _as_text(draw, value):
                       separators=draw(st.sampled_from(SPACINGS)))
 
 
+def _with_defaults(draw, obj, fields):
+    """``obj`` with a drawn set of the defaults of ``fields`` made explicit."""
+    defaults = {k: d for k, d in fields.items() if d is not REQUIRED}
+    added = draw(st.sets(st.sampled_from(sorted(defaults)))) if defaults else set()
+    return {**obj, **{k: defaults[k] for k in added if k not in obj}}
+
+
 def _variant(draw, conf):
     """``conf`` respelled: JSON reserialized, defaults made explicit, fields moved to the file."""
-    conf = dict(conf)
+    conf = {name: _with_defaults(draw, value, _CHAIN) if _FIELDS[name][0] == "chain" else value
+            for name, value in conf.items()}
     pot = conf.get("potential")
     if pot is not None:
-        defaults = {k: d for k, d in _POTENTIALS[pot["kind"]][1].items() if d is not REQUIRED}
-        added = draw(st.sets(st.sampled_from(sorted(defaults)))) if defaults else set()
-        pot = {**pot, **{k: defaults[k] for k in added if k not in pot}}
-        if "chain" in pot and draw(st.booleans()):  # a potential's chain may be JSON text too
-            pot["chain"] = _as_text(draw, pot["chain"])
+        pot = _with_defaults(draw, pot, _POTENTIALS[pot["kind"]][1])
+        if "chain" in pot:
+            pot["chain"] = _with_defaults(draw, pot["chain"], _CHAIN)
+            if draw(st.booleans()):  # a potential's chain may be JSON text too
+                pot["chain"] = _as_text(draw, pot["chain"])
         conf["potential"] = pot
     flags, file_conf = [], {}
     for name, value in conf.items():
-        as_json = _FIELDS[name][0] in ("json", "potential")
+        as_json = _FIELDS[name][0] in ("chain", "potential")
         if draw(st.booleans()):
             file_conf[name] = _as_text(draw, value) if as_json and draw(st.booleans()) else value
         else:
@@ -859,3 +875,26 @@ def test_a_respelled_config_gives_the_same_bytes(tmp_path, monkeypatch, capsys, 
         assert (code, err) == (0, "")
         outputs.append({p.name: p.read_bytes() for p in sorted(work.iterdir())})
     assert all(files == outputs[0] for files in outputs[1:])
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("condition-a", "--chain", '{"prefix":[2],"rule":[2],"rulez":[3]}'), "chain.rulez"),
+    (("classify", "--chain", DYADIC, "--chain-b", '{"prefix":[3],"Rule":[3]}'), "chain_b.Rule"),
+    (("quotient", "--chain", DYADIC, "--target", '{"prefix":[2,4],"step":2}'), "target.step"),
+    (("synth", "--potential", '{"kind":"remark","chain":{"prefix":[2],"rule":[2],"x":1}}'),
+     "potential.chain.x"),
+])
+def test_an_unknown_chain_key_is_refused_at_its_path(tmp_path, capsys, argv, field):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: {field}: not a field of a chain\n"
+
+
+@pytest.mark.parametrize("chain", ['{"prefix":[2,12,24]}', '{"prefix":[2,12],"rule":[6,2]}'])
+def test_a_maximal_chain_fed_back_gives_the_same_chain(capsys, chain):
+    code, out, _ = run(capsys, "maximal-chain", "--chain", chain)
+    assert code == 0
+    refined = json.loads(out)["chain"]
+    code, again, _ = run(capsys, "maximal-chain", "--chain", json.dumps(refined))
+    assert code == 0
+    assert json.loads(again)["chain"] == refined

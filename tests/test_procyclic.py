@@ -205,8 +205,3 @@ def test_subchain_restriction_commutes_with_addition(seed, step, j, k):
     # re-embedding reconstructs the truncation the subchain can see
     assert embed_from_subchain(ra, chain, step) == a
     assert embed_from_subchain(ra + rb, chain, step) == a + b
-
-
-def test_element_json_round_trip():
-    x = ProcyclicElement.from_int(DYADIC, 4, 11)
-    assert ProcyclicElement.from_json_dict(x.to_json_dict()) == x

@@ -77,12 +77,6 @@ def test_validation_rejects_bad_factors():
         S({2: 1.5})
 
 
-def test_json_round_trip():
-    n = S({2: INF, 5: 3})
-    assert n.to_json_dict() == {"2": "inf", "5": 3}
-    assert Supernatural.from_json_dict(n.to_json_dict()) == n
-
-
 supernaturals = st.builds(
     Supernatural.from_factors,
     st.dictionaries(
