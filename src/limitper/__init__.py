@@ -3,7 +3,6 @@
 from .supernatural import INF, Supernatural, factorize, is_prime
 from .frequency import (
     FrequencyChain,
-    FrequencyModuleView,
     HullComparison,
     bohr_coefficient,
     chain_limit,
@@ -23,10 +22,8 @@ from .procyclic import (
     quotient,
     restrict_to_subchain,
     subgroup_membership,
-    translation_is_minimal,
 )
 from .potential import (
-    ExtractionResult,
     GordonReport,
     NoisePotential,
     PeriodicLayer,
@@ -38,9 +35,7 @@ from .potential import (
     periodic_potential,
     periodize,
     sampled_potential,
-    sampling_from_potential,
     sawtooth_potential,
-    sawtooth_sampling,
     sawtooth_tail,
 )
 from .spectral import (

@@ -17,7 +17,6 @@ so witnesses and blockers need no factorization however deep they lie.
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .supernatural import INF, Supernatural, factorize
@@ -267,25 +266,3 @@ def bohr_coefficient(d: Callable[[int], float], q: int, window: int) -> complex:
     for k in range(-window, window + 1):
         total += d(k) * phases[k % q]
     return total / (2 * window)
-
-
-@dataclass(frozen=True)
-class FrequencyModuleView:
-    """Generators 1/n_j (j <= level) of the frequency module presented by a chain."""
-
-    chain: FrequencyChain
-    level: int
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        self.chain.nth_term(self.level)  # validates the level exists
-
-    def generator_denominators(self) -> list[int]:
-        return self.chain.terms(self.level)
-
-    def generators(self) -> list[Fraction]:
-        return [Fraction(1, n) for n in self.generator_denominators()]
-
-    def angular_generators(self) -> list[float]:
-        return [2 * math.pi / n for n in self.generator_denominators()]

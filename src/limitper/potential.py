@@ -149,7 +149,7 @@ def sawtooth_tail(chain: FrequencyChain, depth: int) -> Fraction:
 
 @dataclass(frozen=True)
 class Potential:
-    """A two-sided sequence ``n -> V(n)`` with certified evaluation error and sup bound.
+    """A two-sided sequence ``n -> V(n)`` with certified evaluation error.
 
     ``kind`` matches the manifest wire names: "remark" (sawtooth tower),
     "metric" (distance tower), "layers" (explicit tower), "periodic" (one
@@ -163,7 +163,6 @@ class Potential:
 
     kind: str
     tol: float
-    sup_bound: float
     base: int = 0
     generator: int = 1
     sampling: Optional[SamplingFunction] = None
@@ -279,7 +278,6 @@ def _tower_potential(
     return Potential(
         kind=kind,
         tol=f.residual_bound,
-        sup_bound=f.tail_bound(0),
         base=base,
         generator=generator,
         sampling=f,
@@ -292,12 +290,7 @@ def periodic_potential(values: Sequence[float]) -> Potential:
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("periodic potential needs at least one value")
-    return Potential(
-        kind="periodic",
-        tol=0.0,
-        sup_bound=max(abs(v) for v in vals),
-        values=vals,
-    )
+    return Potential(kind="periodic", tol=0.0, values=vals)
 
 
 _LAYER_PERIOD_GUARD = 1_000_000
@@ -311,7 +304,7 @@ _FAMILIES = {
 
 
 def _family_potential(
-    kind: str, chain: FrequencyChain, depth: int, base: int = 0, generator: int = 1
+    kind: str, chain: FrequencyChain, depth: int, base: int, generator: int
 ) -> Potential:
     """The explicit tower ``kind`` to ``depth``, read from ``base`` in steps of ``generator``."""
     if depth < 1:
@@ -324,11 +317,6 @@ def _family_potential(
         layers.append(PeriodicLayer(n, tuple(value(t, n, j) for t in range(n))))
     f = SamplingFunction(chain, tuple(layers), tail(chain, depth))
     return _tower_potential(kind, f, base, generator, lambda level: tail(chain, level))
-
-
-def sawtooth_sampling(chain: FrequencyChain, depth: int) -> SamplingFunction:
-    """Materialized sawtooth tower; periods above the guard are rejected."""
-    return _family_potential("remark", chain, depth).sampling
 
 
 def sawtooth_potential(
@@ -368,53 +356,9 @@ def iid_uniform_potential(seed: int, low: float = 0.0, high: float = 1.0) -> Noi
     return NoisePotential(
         kind="iid",
         tol=0.0,
-        sup_bound=max(abs(low), abs(high)),
         seed=seed,
         low=low,
         high=high,
-    )
-
-
-class ExtractionResult(NamedTuple):
-    sampling: SamplingFunction
-    residual_sup: float
-    within_tol: bool
-
-
-def sampling_from_potential(
-    values: Sequence[float],
-    chain: FrequencyChain,
-    level: int,
-    tol: float,
-    start: int = 0,
-) -> ExtractionResult:
-    """Greedy layer extraction from an explicit window of potential values.
-
-    Level by level, the layer is the mean of the current residual over each
-    residue class mod ``n_j``; window positions are ``start, start + 1, ...``.
-    For a genuinely limit-periodic input built over the same chain the final
-    residual is at most the level tail plus window error, while generic input
-    leaves a large residual and is flagged as not limit-periodic at ``tol``.
-    """
-    window = [float(v) for v in values]
-    n_level = chain.nth_term(level)
-    if len(window) < n_level:
-        raise ValueError(f"window of {len(window)} values shorter than period {n_level}")
-    layers = []
-    for n in chain.terms(level):
-        sums = [0.0] * n
-        counts = [0] * n
-        for idx, v in enumerate(window):
-            t = (start + idx) % n
-            sums[t] += v
-            counts[t] += 1
-        layer_vals = tuple(sums[t] / counts[t] for t in range(n))
-        layers.append(PeriodicLayer(n, layer_vals))
-        for idx in range(len(window)):
-            window[idx] -= layer_vals[(start + idx) % n]
-    residual = max(abs(v) for v in window)
-    return ExtractionResult(
-        SamplingFunction(chain, tuple(layers)), residual, residual <= tol
     )
 
 
@@ -441,9 +385,11 @@ def gordon_check(V: Potential, q_list: Sequence[int]) -> GordonReport:
     once ``q_j * log(j)`` passes about 700.  The j = 1 threshold is 1 and is
     applied literally.  V is read once, in one window, after q_list is checked.
     """
+    if not q_list:
+        raise ValueError("q_list must be nonempty")
     if any(q <= prev for q, prev in zip(q_list, (0, *q_list))):
         raise ValueError("q_list must be strictly increasing positive integers")
-    q_max = q_list[-1] if q_list else 0
+    q_max = q_list[-1]
     w = list(read_window(V, 1 - q_max, 2 * q_max + 1))  # w[q_max - 1 + n] is V(n)
     margins = []
     all_ok = True

@@ -133,11 +133,6 @@ def is_generator(chain: FrequencyChain, k: int, depth: int) -> GeneratorCheck:
     return GeneratorCheck(True, None)
 
 
-def translation_is_minimal(chain: FrequencyChain, k: int, depth: int) -> bool:
-    """Translation by k is minimal exactly when k generates."""
-    return is_generator(chain, k, depth).ok
-
-
 def orbit_residues(chain: FrequencyChain, k: int, level: int, steps: int) -> list[int]:
     """Level-``level`` residues of 0, k, 2k, ... for ``steps`` translation steps."""
     if steps < 0:

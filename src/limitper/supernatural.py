@@ -58,18 +58,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_RHO_BATCH = 128
+
+
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n must be odd, composite, and not a prime power of 2.
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of an odd composite n, by Brent's variant of Pollard rho.
+
+    The walk is x -> x*x + c mod n (Brent, BIT 1980): y runs ahead of a point
+    x saved at each power of two, and the differences |x - y| are multiplied
+    mod n in batches, one gcd per batch.  A batch whose gcd is n is replayed
+    step by step from its saved point; if that too gives n, the next c is tried.
+    """
     for c in range(1, 64):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                saved = (saved * saved + c) % n
+                d = math.gcd(abs(x - saved), n)
         if d != n:
             return d
     raise ArithmeticError(f"failed to find a factor of {n}")
@@ -79,8 +98,9 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}.
 
     Trial division to 1000 comes first, so a smooth n of any size factors, and
-    Pollard rho splits the cofactor left.  A cofactor at or above psi_13 =
-    3317044064679887385961981 (about 2**81.4) is refused by ``is_prime``.
+    Pollard rho (Brent's variant) splits the cofactor left.  A cofactor at or
+    above psi_13 = 3317044064679887385961981 (about 2**81.4) is refused by
+    ``is_prime``.
     """
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")

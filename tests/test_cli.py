@@ -623,7 +623,7 @@ def _field_values(name, wild):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_config_file_exits_0_or_2_with_a_field_error(tmp_path, monkeypatch, capsys, data):
-    """ROADMAP item 5 gate: no config file ends in a traceback or exit code 1."""
+    """CLI input contract: no config file ends in a traceback or exit code 1."""
     command = data.draw(st.sampled_from(sorted(_COMMANDS)))
     fields = _COMMANDS[command][1]
     wild = data.draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
@@ -661,7 +661,7 @@ def _flag_text(name):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_flag_text_exits_0_or_2_with_a_field_error(tmp_path, monkeypatch, capsys, data):
-    """ROADMAP item 6 gate: flag text is typed by the field rules, like a config file.
+    """CLI input contract: flag text is typed by the field rules, like a config file.
 
     Flags are passed as ``--name=text`` so that text starting with "-" is a value.
     """

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from limitper import (
     INF,
     FrequencyChain,
-    FrequencyModuleView,
     Supernatural,
     bohr_coefficient,
     chain_limit,
@@ -272,13 +270,6 @@ def test_bohr_exact_dft_on_periodic_approximant():
         expect = dft + d(0) / (2 * N)
         got = bohr_coefficient(d, q, N)
         assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
-
-
-def test_frequency_module_view():
-    view = FrequencyModuleView(chain_make([2], [2]), 3)
-    assert view.generator_denominators() == [2, 4, 8]
-    assert view.generators() == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
-    assert view.angular_generators()[0] == pytest.approx(math.pi)
 
 
 def test_chain_json_round_trip():

@@ -20,9 +20,7 @@ from limitper import (
     periodic_potential,
     periodize,
     sampled_potential,
-    sampling_from_potential,
     sawtooth_potential,
-    sawtooth_sampling,
     sawtooth_tail,
 )
 
@@ -81,7 +79,7 @@ def test_certified_tails_never_round_down(seed, level):
     chain = random_chain(random.Random(seed), entry_cap=10**4)
     assert Fraction(sawtooth_value(chain, level, 0).tail_bound) >= sawtooth_tail(chain, level)
     depth = max(d for d in range(1, level + 1) if chain.nth_term(d) <= 10**4)
-    f = sawtooth_sampling(chain, depth)
+    f = sawtooth_potential(chain, depth).sampling
     assert Fraction(f.residual_bound) >= sawtooth_tail(chain, depth)
     pot = sawtooth_potential(chain, depth)
     omega = ProcyclicElement.from_int(chain, depth, 0)
@@ -115,7 +113,7 @@ def test_sample_single_layer_parity():
 
 
 def test_sample_agrees_with_sawtooth_formula():
-    f = sawtooth_sampling(DYADIC, 5)
+    f = sawtooth_potential(DYADIC, 5).sampling
     ident = ProcyclicElement.identity(DYADIC, 5)
     tol = 2 * f.residual_bound + 1e-12
     for n in range(-20, 21):
@@ -125,7 +123,7 @@ def test_sample_agrees_with_sawtooth_formula():
 
 
 def test_sample_shift_identities():
-    f = sawtooth_sampling(DYADIC, 5)
+    f = sawtooth_potential(DYADIC, 5).sampling
     omega = ProcyclicElement.from_int(DYADIC, 5, 7)
     one = ProcyclicElement.from_int(DYADIC, 5, 1)
     tol = 1e-3
@@ -136,7 +134,7 @@ def test_sample_shift_identities():
 
 
 def test_sample_requires_certifiable_tolerance():
-    f = sawtooth_sampling(DYADIC, 4)
+    f = sawtooth_potential(DYADIC, 4).sampling
     ident = ProcyclicElement.identity(DYADIC, 4)
     with pytest.raises(ValueError):
         sampled_potential(f, ident, 1, f.residual_bound / 2)(0)
@@ -198,48 +196,6 @@ def test_periodize_orbit_periodicity_generator_independent():
     assert (is_two_periodic(g, 1), is_two_periodic(g, 3)) == (True, True)
 
 
-def test_extraction_recovers_periodic_sequence_exactly():
-    chain = chain_make([2])
-    window = [0.5, -0.25] * 6
-    out = sampling_from_potential(window, chain, 1, tol=1e-12)
-    assert out.sampling.layers[0].values == (0.5, -0.25)
-    assert out.residual_sup == 0.0
-    assert out.within_tol
-
-
-def test_extraction_recovers_centered_layers_exactly():
-    chain = chain_make([2, 4])
-    layer1 = (0.5, -0.25)
-    layer2 = (0.125, 0.0625, -0.125, -0.0625)  # zero mean on each mod-2 coset
-    d = [layer1[n % 2] + layer2[n % 4] for n in range(40)]
-    out = sampling_from_potential(d, chain, 2, tol=1e-12)
-    assert out.sampling.layers[0].values == layer1
-    assert out.sampling.layers[1].values == layer2
-    assert out.residual_sup == 0.0
-
-
-def test_extraction_of_sawtooth_leaves_tail_residual():
-    chain = chain_make([2, 4, 8])
-    pot = sawtooth_potential(chain, 3)
-    window = [pot(n) for n in range(10 * 8)]
-    out = sampling_from_potential(window, chain, 3, tol=1e-9)
-    assert out.residual_sup <= 1e-9  # finite chain: zero tail up to rounding
-    assert out.within_tol
-
-
-def test_extraction_flags_random_input():
-    rng = random.Random(99)
-    window = [rng.random() for _ in range(80)]
-    out = sampling_from_potential(window, chain_make([2, 4, 8]), 3, tol=0.05)
-    assert out.residual_sup > 0.05
-    assert not out.within_tol
-
-
-def test_extraction_rejects_short_window():
-    with pytest.raises(ValueError):
-        sampling_from_potential([0.0] * 7, chain_make([2, 4, 8]), 3, tol=1e-9)
-
-
 def test_gordon_periodic_passes_with_zero_margins():
     pot = periodic_potential([0.5, -0.25, 0.75, 0.0])
     report = gordon_check(pot, [4, 8, 12])
@@ -292,18 +248,8 @@ def test_potential_level_structure():
     assert met.level_tail(3) == 0.125
 
 
-def test_potential_sup_bounds_hold():
-    for pot in (
-        sawtooth_potential(DYADIC, 8),
-        metric_potential(DYADIC, 8),
-        periodic_potential([1.5, -2.0]),
-        iid_uniform_potential(3, -0.5, 2.0),
-    ):
-        assert all(abs(pot(n)) <= pot.sup_bound + 1e-12 for n in range(-200, 200))
-
-
 def test_sampled_potential_matches_the_closed_form():
-    f = sawtooth_sampling(DYADIC, 4)
+    f = sawtooth_potential(DYADIC, 4).sampling
     omega = ProcyclicElement.from_int(DYADIC, 4, 5)
     tol = 2 * f.residual_bound
     pot = sampled_potential(f, omega, 3, tol=tol)
@@ -333,7 +279,7 @@ TOWER_CHAINS = (DYADIC, chain_make([1, 3], [2]), chain_make([2, 6], [2, 3]))
 def test_tower_kinds_agree_with_closed_forms(chain, depth, base, generator, n):
     remark = sawtooth_potential(chain, depth, base, generator)
     met = metric_potential(chain, depth, base, generator)
-    f = sawtooth_sampling(chain, depth)
+    f = sawtooth_potential(chain, depth).sampling
     omega = ProcyclicElement.from_int(chain, depth, base)
     stored = sampled_potential(f, omega, generator, 2 * f.residual_bound)
     k = base + n * generator
@@ -390,7 +336,7 @@ def _any_potential(kind, chain, depth, base, generator, values, seed):
         return metric_potential(chain, depth, base, generator)
     if kind == "layers":
         omega = ProcyclicElement.from_int(chain, depth, base)
-        return sampled_potential(sawtooth_sampling(chain, depth), omega, generator, 1.0)
+        return sampled_potential(sawtooth_potential(chain, depth).sampling, omega, generator, 1.0)
     if kind == "periodic":
         return periodic_potential(values)
     return iid_uniform_potential(seed, -0.5, 2.0)
@@ -457,7 +403,7 @@ def _per_site_gordon(V, q_list):
 
 
 @pytest.mark.parametrize("kind", KINDS + ("callable",))
-@pytest.mark.parametrize("q_list", [[1, 2, 4, 8, 16, 32], [3, 5, 7], [2], [], [6, 40]])
+@pytest.mark.parametrize("q_list", [[1, 2, 4, 8, 16, 32], [3, 5, 7], [2], [1], [6, 40]])
 def test_gordon_window_matches_the_per_site_check(kind, q_list):
     if kind == "callable":
         pot = lambda n: math.sin(n) + (n % 3) / 7
@@ -485,6 +431,14 @@ def test_gordon_rejects_bad_scales_before_reading_a_window(monkeypatch, q_list):
         gordon_check(periodic_potential([0.0]), q_list)
 
 
+def test_gordon_refuses_an_empty_q_list_before_reading_a_window():
+    """An empty q_list would pass with nothing checked, so it is refused."""
+    sites = []
+    with pytest.raises(ValueError, match="q_list must be nonempty"):
+        gordon_check(lambda n: sites.append(n) or 0.0, [])
+    assert sites == []
+
+
 def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():
     """Site n is ``low + (high - low) * random.Random(f"{seed}:{n}").random()``."""
     pot = iid_uniform_potential(2**40 + 3, -0.5, 2.0)
@@ -495,7 +449,7 @@ def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():
 
 def test_potential_is_a_stored_period_and_seeded_noise_its_subclass():
     fields = [f.name for f in dataclasses.fields(Potential)]
-    assert fields == ["kind", "tol", "sup_bound", "base", "generator", "sampling", "tails", "values"]
+    assert fields == ["kind", "tol", "base", "generator", "sampling", "tails", "values"]
     pot = iid_uniform_potential(7, -1.0, 2.0)
     assert isinstance(pot, NoisePotential) and isinstance(pot, Potential)
     assert (pot.kind, pot.seed, pot.low, pot.high) == ("iid", 7, -1.0, 2.0)

@@ -15,7 +15,6 @@ from limitper import (
     quotient,
     restrict_to_subchain,
     subgroup_membership,
-    translation_is_minimal,
 )
 
 from helpers import random_chain
@@ -118,11 +117,6 @@ def test_generator_ratio_witness():
     ok, witness = is_generator(chain, 2, 1)
     assert not ok
     assert (witness.kind, witness.value) == ("ratio", 2)
-
-
-def test_minimality_matches_generator():
-    for k in (0, 1, 2, 3, 6, 7):
-        assert translation_is_minimal(DYADIC, k, 6) == is_generator(DYADIC, k, 6).ok
 
 
 def test_orbit_examples():

@@ -188,7 +188,7 @@ def _old_eigenvalue_count(values, E):
         else:
             d = (v - E) - 1.0 / d
         if d == 0.0:
-            d = -1e-300
+            d = -5e-324  # -1e-300 is not small next to pivots near 1e-308
         if d < 0.0:
             count += 1
     return count

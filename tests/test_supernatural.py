@@ -1,10 +1,12 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from limitper import INF, Supernatural, factorize, is_prime
+from limitper import supernatural as supernatural_module
 
 S = Supernatural.from_factors
 
@@ -165,6 +167,25 @@ def test_factorize_seeded_products_of_40_bit_primes():
         factors = factorize(p * q)
         assert math.prod(f**e for f, e in factors.items()) == p * q
         assert factors == ({p: 2} if p == q else {p: 1, q: 1})
+
+
+def test_factorize_products_of_primes_just_past_trial_division(monkeypatch):
+    """Every p*q with 1009 <= p <= q < 1400 factors, including those whose rho
+    batch gcd is n and must be replayed step by step (1009 * 1049 is one)."""
+    replayed = []
+
+    def gcd(a, n):
+        d = math.gcd(a, n)
+        if d == n:
+            replayed.append(n)
+        return d
+
+    monkeypatch.setattr(supernatural_module, "math", SimpleNamespace(gcd=gcd))
+    primes = [p for p in range(1009, 1400) if is_prime(p)]
+    for i, p in enumerate(primes):
+        for q in primes[i:]:
+            assert factorize(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+    assert replayed
 
 
 def test_factorize_refuses_a_large_prime_cofactor_at_psi_13_and_above():
