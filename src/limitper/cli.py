@@ -407,7 +407,7 @@ def cmd_ids(config: ExperimentConfig) -> None:
 def cmd_lyapunov(config: ExperimentConfig) -> None:
     pot = build_potential(config.potential, config.seed)
     grid = _energy_grid(config)
-    with _blame("potential"):  # the transfer product overflowed
+    with _blame("potential"):  # a site or energy that is not finite
         rows = [(e, lyapunov_estimate(pot, e, config.size), config.size) for e in grid]
     _write_csv(("E", "lyapunov", "N"), rows, config.out, config.config_hash())
 

@@ -20,6 +20,7 @@ evaluation never branches on which kind a potential has.
 """
 
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -190,14 +191,14 @@ class Potential:
 
     __call__ = value
 
-    def window(self, start: int, stop: int) -> list[float]:
-        """``[V(n) for n in range(start, stop)]`` as one list, for readers that index it."""
-        return list(self._sites(start, stop))
+    def window(self, start: int, stop: int) -> "PeriodicWindow":
+        """``V(n)`` for n in ``range(start, stop)``: the stored period rotated to ``start``."""
+        r = start % len(self.values)
+        return PeriodicWindow(self.values[r:] + self.values[:r], max(stop - start, 0))
 
     def _sites(self, start: int, stop: int) -> Iterator[float]:
-        """V at ``start, ..., stop - 1``, lazily: the period rotated to ``start``, cycled."""
-        r = start % len(self.values)
-        return islice(cycle(self.values[r:] + self.values[:r]), max(stop - start, 0))
+        """V at ``start, ..., stop - 1``, lazily: the window's period, cycled."""
+        return iter(self.window(start, stop))
 
     def _check_level(self, level: int) -> None:
         if self.sampling is None:
@@ -230,6 +231,10 @@ class NoisePotential(Potential):
 
     __call__ = value
 
+    def window(self, start: int, stop: int) -> list[float]:
+        """``[V(n) for n in range(start, stop)]`` as one list: noise has no period to hold."""
+        return list(self._sites(start, stop))
+
     def _sites(self, start: int, stop: int) -> Iterator[float]:
         """V at ``start, ..., stop - 1``, lazily: one generator reseeded per site."""
         rng = random.Random()
@@ -241,12 +246,40 @@ class NoisePotential(Potential):
         return self.low + (self.high - self.low) * rng.random()
 
 
+@dataclass(frozen=True, eq=False)
+class PeriodicWindow:
+    """``length`` consecutive sites of a p-periodic sequence, held as one period.
+
+    Site i of the window is ``values[i % p]``, the very float stored there, so
+    a window of any length takes memory for one period.  It reads like the list
+    of its sites (``len``, iteration, integer indexing from either end), and
+    ``spectral.eigenvalue_count`` reads the period itself.
+    """
+
+    values: tuple[float, ...]
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[float]:
+        return islice(cycle(self.values), self.length)
+
+    def __getitem__(self, i: int) -> float:
+        j = operator.index(i)
+        if j < 0:
+            j += self.length
+        if not 0 <= j < self.length:
+            raise IndexError(f"window index {i} out of range for length {self.length}")
+        return self.values[j % len(self.values)]
+
+
 def read_window(V: Callable[[int], float], start: int, stop: int) -> Iterator[float]:
     """V at ``start, ..., stop - 1``, yielded one site at a time for a single pass.
 
     A ``Potential`` streams its stored period, or its seeded draws, and holds
     nothing else, so a pass over N sites takes memory independent of N.  Any
-    other V is called site by site.  ``Potential.window`` is the list form.
+    other V is called site by site.  ``Potential.window`` is the indexable form.
     """
     return V._sites(start, stop) if isinstance(V, Potential) else map(V, range(start, stop))
 

@@ -3,8 +3,9 @@
 Transfer-matrix products are rescaled at norm 2**512 with an accumulated
 log-scale, so Lyapunov exponents are computed overflow-free.  Each step tests
 only the two entries it computes (the other two are last step's, already in
-range), and a NaN or out-of-range entry runs the full check.  Periodic spectra
-come from the discriminant (trace of the one-period transfer matrix): the
+range), and a NaN or out-of-range entry runs the full check; a step that
+overflows even so restarts the product, rescaled before each step.  Periodic
+spectra come from the discriminant (trace of the one-period transfer matrix): the
 spectrum is exactly ``{E : |Delta(E)| <= 2}``.  Delta runs the two-solution
 recurrence over the period in a plain loop, the same arithmetic as the
 transfer product without its per-step rescale test, and falls back to the
@@ -20,19 +21,24 @@ only fences where it need not be (for ||V|| near the float range) are
 bisected on counts.  Band edges are localized by bisection on Delta,
 which stays stable where explicit polynomial coefficients would not.  The
 integrated density of states uses the symmetric tridiagonal inertia count,
-O(N) per energy with integer-valued counts.
+O(N) per energy with integer-valued counts.  On a window that holds its
+period (``PeriodicWindow``) the same count comes in O(p) per energy from the
+Floquet closed form, certified against the rounding of both computations,
+and the O(N) count runs only where the certificate fails.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .frequency import FrequencyChain
-from .potential import PeriodicLayer, Potential, read_window
+from .potential import PeriodicLayer, PeriodicWindow, Potential, read_window
 
 _RESCALE = 2.0**512
 _RESCALE_LOG = 512.0 * math.log(2.0)
+_LOG_2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -59,6 +65,12 @@ def transfer_product(
     New steps multiply on the left, propagating (u(n+1), u(n)).  An empty range
     returns the identity with log-scale 0.  V is streamed by ``read_window``, one
     site per step, so the memory taken does not grow with the range.
+
+    Rescaling after a step cannot save a step whose |E - V(n)| is so large
+    (about 1.3e154 or more) that its product with the rescaled entries
+    overflows.  So the first infinite entry restarts the product in
+    ``_prescaled_transfer``, which rescales before such a step; only a site or
+    energy that is itself infinite or NaN still raises.
     """
     if n_start > n_end:
         raise ValueError(f"n_start {n_start} must be <= n_end {n_end}")
@@ -75,13 +87,43 @@ def transfer_product(
         mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
         while mag > _RESCALE:
             if mag == math.inf:
-                raise ValueError(f"transfer matrix overflowed at site {n}, E = {E!r}")
+                return _prescaled_transfer(V, E, n_start, n_end, n)
             m11 /= _RESCALE
             m12 /= _RESCALE
             m21 /= _RESCALE
             m22 /= _RESCALE
             log_scale += _RESCALE_LOG
             mag /= _RESCALE
+    return TransferState(m11, m12, m21, m22, log_scale)
+
+
+def _prescaled_transfer(
+    V: Callable[[int], float], E: float, n_start: int, n_end: int, overflow_site: int
+) -> TransferState:
+    """``transfer_product`` with each step rescaled before it, for huge |E - V(n)|.
+
+    A step takes ``h = (E - V(n))/2``, finite whenever E and V(n) are.  Where
+    ``max|entry| * (|h| + 1)`` passes 2**1000, the entries are first scaled by
+    a power of two that brings it into (2**998, 2**1000], so ``2 h m - m'``
+    cannot overflow.  An entry the scaling pushes below 2**-1022 is then less
+    than 2**-995 of the largest, so what it loses is far below the rounding of
+    the step.  A site or energy that is infinite or NaN raises the error the
+    plain product raised at ``overflow_site``.
+    """
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    log_scale = 0.0
+    for v in read_window(V, n_start, n_end):
+        h = 0.5 * E - 0.5 * v
+        if not math.isfinite(h):
+            raise ValueError(f"transfer matrix overflowed at site {overflow_site}, E = {E!r}")
+        mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
+        if mag * (abs(h) + 1.0) > 2.0**1000:
+            shift = math.frexp(mag)[1] + math.frexp(abs(h) + 1.0)[1] - 1000
+            m11, m12 = math.ldexp(m11, -shift), math.ldexp(m12, -shift)
+            m21, m22 = math.ldexp(m21, -shift), math.ldexp(m22, -shift)
+            log_scale += shift * _LOG_2
+        m11, m21 = 2.0 * (h * m11) - m21, m11
+        m12, m22 = 2.0 * (h * m12) - m22, m12
     return TransferState(m11, m12, m21, m22, log_scale)
 
 
@@ -407,9 +449,21 @@ def eigenvalue_count(values: Sequence[float], E: float) -> int:
     which the count is monotone in E (Demmel, Dhillon and Ren 1995).  The pivot
     before the first is taken as infinite, so the first pivot is exactly
     ``V(0) - E``.
+
+    A ``PeriodicWindow`` (``Potential.window``) of N sites and period p is
+    counted in O(p) from the Floquet closed form, with the result of this loop
+    over all N sites; where rounding leaves that in doubt, the loop runs.
     """
+    if isinstance(values, PeriodicWindow):
+        count = _periodic_count(values.values, len(values), E)
+        if count is not None:
+            return count
+    return _pivot_count(values, E)
+
+
+def _pivot_count(values: Iterable[float], E: float, d: float = math.inf) -> int:
+    """Negative pivots of ``d_i = (V(i) - E) - 1/d_{i-1}`` over ``values``, from the pivot d."""
     count = 0
-    d = math.inf
     for v in values:
         d = (v - E) - 1.0 / d
         if d < 0.0:
@@ -418,6 +472,163 @@ def eigenvalue_count(values: Sequence[float], E: float) -> int:
             d = -5e-324
             count += 1
     return count
+
+
+_U = 2.0**-53  # unit roundoff
+
+
+def _periodic_count(period: Sequence[float], N: int, E: float) -> Optional[int]:
+    """``_pivot_count`` of N sites cycling ``period``, in O(p); None where not certified.
+
+    Sites are 1..N with V(j) = period[(j - 1) % p].  phi solves
+    ``phi(j+1) = (E - V(j)) phi(j) - phi(j-1)`` from phi(0) = 0, phi(1) = 1, so
+    ``det(H_j - E) = (-1)**j phi(j+1)`` and the pivots are
+    ``d_j = -phi(j+1)/phi(j)``.  The monodromy M = T_p...T_1 has trace
+    Delta = 2x, and ``M**m = U_{m-1}(x) M - U_{m-2}(x) I`` with Chebyshev U.
+    Take k = (N + 1) // p >= 2 and K = kp - 1 (Teschl, *Jacobi Operators and
+    Completely Integrable Nonlinear Lattices*, AMS 2000, ch. 7):
+
+    - ``phi(kp) = U_{k-1}(x) phi(p)``, so the K-site box has as eigenvalues the
+      p - 1 Dirichlet eigenvalues mu of sites 1..p-1 (zeros of phi(p) = M21)
+      and, in each band, the k - 1 roots of U_{k-1}(x).
+    - c mu's lie at or below E, and the bands interlace with the mu's, so E is
+      in band c + 1 or in a gap beside it.  ``s x`` with ``s = (-1)**(p-c-1)``
+      runs from -1 to 1 across band c + 1.  In a gap the bands wholly below E
+      number ``B = c + [s x > 1]``, and the K-site count is
+      ``C = c + (k - 1) B``.  In the band ``psi = arccos(-s x)`` runs from 0
+      to pi with the roots at ``psi = i pi / k``, i = 1..k-1, so
+      ``C = c + (k - 1) c + min(floor(k psi / pi), k - 1)``.
+    - The last ``t = N - K < p`` sites continue the pivots from
+      ``d_K = -phi(kp)/phi(kp - 1)``.  ``(phi(kp), phi(kp - 1))`` is
+      ``T_{p-1}...T_1 M**(k-1) e1``, and ``M**(k-1) e1`` comes from
+      U_{k-2}(x) and U_{k-3}(x) in closed form, in O(1) for any k.
+
+    Certificate.  The loop's pivots are, up to positive factors, the exact
+    pivots of a tridiagonal matrix with the same diagonal and off-diagonals
+    within 2.01u of 1 (each pivot carries three roundings), so by Weyl's
+    inequality its count lies between the true counts at E - ETA and E + ETA,
+    ``ETA = 4.02u + 2**-1000`` (the last term covers pivots in the subnormal
+    range).  Each decision below is accepted only with a margin that covers
+    that shift of E together with its own rounding, so the true count is the
+    same all over ``[E - ETA, E + ETA]`` and equals the loop's.  The bounds are
+    first order in u, doubled to cover the terms they drop (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3).
+    """
+    p = len(period)
+    k = (N + 1) // p
+    L = abs(E) + max(map(abs, period)) + 1.0  # >= |E - V(j)| + 1, up to rounding
+    if k < 2 or not L < 2.0**500:
+        return None
+    c = _pivot_count(islice(period, p - 1), E)  # bitwise the loop's first p - 1 pivots
+    # P_j = T_j...T_1 by the loop of ``discriminant``.  The second row of P_j
+    # is the first row of P_{j-1}, so big[j] bounds every entry of P_j.
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    big, row = [1.0], 1.0
+    for v in islice(period, p - 1):
+        a = E - v
+        m11, m21 = a * m11 - m21, m11
+        m12, m22 = a * m12 - m22, m12
+        r = abs(m11) + abs(m12)
+        big.append(r if r > row else row)
+        row = r
+    q11, q12, q21, q22 = m11, m12, m21, m22  # P_{p-1}
+    a = E - period[-1]
+    m11, m21 = a * m11 - m21, m11
+    m12, m22 = a * m12 - m22, m12
+    # Error of M.  Step j rounds E - V(j), then one product and one difference
+    # per new entry, so the computed P_j is T_j P_{j-1} + F_j, where F_j is
+    # nonzero in its first row only and ||F_j||_1 <= 3.01u L big[j-1].  F_j
+    # reaches M through S_{j+1} = T_p...T_{j+1}, so no entry of M is off by
+    # more than sum_j ||S_{j+1}||_1 ||F_j||_1.  And dT_j/dE = e1 e1^T, so
+    # moving E by ETA moves no entry by more than ETA sum_j ||S_{j+1}||_1
+    # big[j-1].  Both, doubled: ``err = 8u (L + 2) sum_j ||S_{j+1}||_1
+    # big[j-1]``.  For P_{p-1} = T_p^-1 M the sum stops at p - 1 and each
+    # term gains ||T_p^-1||_1 <= L.  S_j = S_{j+1} T_j moves its first
+    # column, negated, into the second, so ||S_j||_1 is the larger of the
+    # last two first-column sums.
+    x1, x2, y1, y2 = 1.0, 0.0, 0.0, 1.0
+    col, prev, total = 1.0, 1.0, 0.0
+    for v, b in zip(reversed(period), reversed(big)):
+        total += (col if col > prev else prev) * b
+        a = E - v
+        x1, y1 = a * x1 + y1, -x1
+        x2, y2 = a * x2 + y2, -x2
+        prev, col = col, abs(x1) + abs(x2)
+    err = 8.0 * _U * (L + 2.0) * total
+    if not math.isfinite(err + abs(m11) + abs(m12) + abs(m21) + abs(m22)):
+        return None
+    # c: no zero of M21 within reach, so no mu within ETA of E, and the
+    # loop's c is the true count of mu's all over [E - ETA, E + ETA].
+    if not abs(m21) > err:
+        return None
+    x = 0.5 * (m11 + m22)
+    ax = abs(x)
+    err_x = err + 2.0 * _U * ax
+    # Band or gap: the two formulas agree at a band edge only when the first
+    # root lies farther inside than the error of x, so x must clear 1.
+    if not abs(ax - 1.0) > err_x:
+        return None
+    s = 1.0 if (p - c) % 2 else -1.0  # (-1)**(p - c - 1)
+    if ax < 1.0:
+        # |d arccos(y)/dy| = 1/sqrt(1 - y*y) is largest at |y| = ax + err_x
+        # over the interval y can lie in; acos itself is good to 4u.  Only
+        # roots i = 1..k-1 can flip r: 0 and k are band edges.
+        d_angle = err_x / math.sqrt(1.0 - (ax + err_x) ** 2) + 4.0 * _U
+        q = k * math.acos(-s * x) / math.pi
+        e_q = k * d_angle / math.pi + 4.0 * _U * q
+        if max(math.floor(q - e_q) + 1, 1) <= min(math.floor(q + e_q), k - 1):
+            return None  # a root i pi / k within reach of psi
+        count = k * c + min(math.floor(q), k - 1)
+    else:
+        count = k * c + (k - 1) * (s * x > 0.0)
+    t = N - k * p + 1
+    if t == 0:
+        return count
+    # d_K.  In the band, with x = cos(theta), U_m = sin((m+1) theta)/sin(theta)
+    # and sin(theta) > 0 drops out of the ratio; sin((k-1) theta) is off by
+    # (k-1) d_angle from theta, by (k-1) 4u from forming its argument, and by
+    # 2u from sin.  In a gap, with |x| = cosh(tau), the ratio
+    # rho = U_{k-3}/U_{k-2} = sign(x) sinh((k-2) tau)/sinh((k-1) tau)
+    # satisfies |d rho/d tau| <= max(k - 1, 1/tau), and tau is off by
+    # err_x/sqrt((|x| - err_x)**2 - 1) plus 2u tau from acosh.
+    if ax < 1.0:
+        theta = math.acos(x)
+        s1, s2 = math.sin((k - 1) * theta), math.sin((k - 2) * theta)
+        e_s = (k - 1) * (d_angle + 4.0 * _U) + 2.0 * _U
+        y1, y2 = s1 * m11 - s2, s1 * m21
+        e_y1 = e_s * (abs(m11) + 1.0) + abs(s1) * err + 2.0 * _U * (abs(s1 * m11) + abs(s2))
+        e_y2 = e_s * abs(m21) + abs(s1) * err + _U * abs(y2)
+    else:
+        tau = math.acosh(ax)
+        e_tau = err_x / math.sqrt((ax - err_x) ** 2 - 1.0) + 2.0 * _U * tau
+        ratio = math.exp(-tau) * math.expm1(-2 * (k - 2) * tau) / math.expm1(-2 * (k - 1) * tau)
+        y1, y2 = m11 - math.copysign(ratio, x), m21
+        e_y1 = err + max(k - 1, 1.0 / tau) * e_tau + 8.0 * _U + _U * abs(y1)
+        e_y2 = err
+    # w = P_{p-1} y: the errors of P_{p-1} and of y, and 2u |P_{p-1}| |y| of rounding
+    e_y1 += 2.0 * _U * abs(y1)
+    e_y2 += 2.0 * _U * abs(y2)
+    e_part = L * err * (abs(y1) + abs(y2))
+    w1, w2 = q11 * y1 + q12 * y2, q21 * y1 + q22 * y2
+    e_w1 = e_part + abs(q11) * e_y1 + abs(q12) * e_y2
+    e_w2 = e_part + abs(q21) * e_y1 + abs(q22) * e_y2
+    if not abs(w2) > e_w2:
+        return None
+    d = -w1 / w2
+    e_d = (e_w1 + abs(d) * e_w2) / (abs(w2) - e_w2) + 4.0 * _U * abs(d)
+    if not abs(d) > e_d:
+        return None
+    # Tail.  With its sign fixed, the number of negative pivots after a pivot
+    # d is nonincreasing in d and nondecreasing in E (inertia of the matrix
+    # whose first diagonal entry is d), and a computed count is a true count
+    # within ETA of its energy.  So the ends of the box [d - e_d, d + e_d] x
+    # [E - 2 ETA, E + 2 ETA], counted, bound every true tail count inside it.
+    tail = [period[-1], *islice(period, t - 1)]
+    shift = 16.0 * _U + 2.0 * math.ulp(E)
+    low = _pivot_count(tail, E - shift, d + e_d)
+    if low != _pivot_count(tail, E + shift, d - e_d):
+        return None
+    return count + low
 
 
 def ids(V: Callable[[int], float], E: float, N: int = 10_000) -> float:
@@ -438,10 +649,14 @@ class IDSCurve:
 
 
 def ids_curve(V: Callable[[int], float], energies: Sequence[float], N: int = 10_000) -> IDSCurve:
-    """IDS sampled on an ascending grid; the potential window is built once."""
+    """IDS sampled on an ascending grid; the potential window is built once.
+
+    A stored-period potential's window is its period, counted in O(p) per
+    energy (``eigenvalue_count``); any other V is read into a list of N sites.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    window = list(read_window(V, 1, N + 1))
+    window = V.window(1, N + 1) if isinstance(V, Potential) else list(map(V, range(1, N + 1)))
     grid = tuple(float(e) for e in energies)
     vals = tuple(eigenvalue_count(window, e) / N for e in grid)
     return IDSCurve(grid, vals)

@@ -8,6 +8,7 @@ re-verified by direct divisibility search, and chain generators only use the
 public constructor.
 """
 
+import decimal
 import math
 import random
 import tracemalloc
@@ -78,6 +79,24 @@ def exact_transfer(values, E, count, start=0):
         a = e - vals[n % len(vals)]
         m11, m12, m21, m22 = a * m11 - m21, a * m12 - m22, m11, m12
     return (m11, m12, m21, m22)
+
+
+def transfer_log_size(values, E, count, start=0) -> float:
+    """log of the largest |entry| of ``exact_transfer``'s product, from 40-digit decimals.
+
+    Decimal arithmetic has an exponent range far past the float range, so the
+    product needs no rescaling, and 40 digits keep a few hundred steps exact
+    to far below float precision.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, 10**8, -(10**8)
+        e = decimal.Decimal(E)
+        vals = [decimal.Decimal(v) for v in values]
+        m11, m12, m21, m22 = (decimal.Decimal(x) for x in (1, 0, 0, 1))
+        for n in range(start, start + count):
+            a = e - vals[n % len(vals)]
+            m11, m12, m21, m22 = a * m11 - m21, a * m12 - m22, m11, m12
+        return float(max(abs(m11), abs(m12), abs(m21), abs(m22)).ln())
 
 
 def divisibility_oracle(a, b, entry_depth=10, witness_depth=50):

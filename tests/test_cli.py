@@ -213,6 +213,20 @@ def test_lyapunov_csv(tmp_path, capsys):
     assert row[2] == "20000"
 
 
+@pytest.mark.parametrize("values", ["[1e200,-1e200]", "[1e300,-1e300]"])
+def test_lyapunov_of_a_product_past_the_float_range_is_finite(tmp_path, capsys, values):
+    # one step multiplies the entries by 1e300: the product rescales before it
+    out = tmp_path / "lyap.csv"
+    code, _, err = run(
+        capsys, "lyapunov", "--potential", '{"kind":"periodic","values":%s}' % values,
+        "--energy-min", "0", "--energy-max", "0", "--energy-points", "1",
+        "--size", "10", "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+    row = out.read_text().splitlines()[2].split(",")
+    assert float(row[1]) == pytest.approx(math.log(float(values[1:6])), rel=1e-12)
+
+
 def test_spectrum_command(capsys):
     code, out, _ = run(capsys, "spectrum", "--potential", REMARK, "--level", "2")
     assert code == 0
@@ -330,8 +344,7 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("quotient", "--chain", DYADIC, "--target", '{"prefix":[2,4]}', "--depth", "5"), "depth"),
         (("detect-frequency", "--potential", REMARK, "--q", "0"), "q"),
         (("detect-frequency", "--potential", REMARK, "--q", "2,8", "--window", "4"), "window"),
-        (("lyapunov", "--potential", '{"kind":"periodic","values":[1e200,-1e200]}',
-          "--energy-min", "0", "--energy-max", "0", "--energy-points", "1", "--size", "10"),
+        (("lyapunov", "--potential", "[1]", "--energy-min", "0", "--energy-max", "0"),
          "potential"),
         (("synth", "--potential", TOWER + ',"depth":2.7}'), "potential.depth"),
         (("synth", "--potential", TOWER + ',"base":"3"}'), "potential.base"),

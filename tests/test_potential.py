@@ -25,7 +25,7 @@ from limitper import (
 )
 
 from limitper import potential as potential_module
-from limitper.potential import read_window
+from limitper.potential import PeriodicWindow, read_window
 
 from helpers import metric_value, random_chain, sawtooth_value
 
@@ -361,13 +361,26 @@ potentials = st.builds(
 def test_window_is_the_per_site_read_bitwise(pot, a, length):
     b = a + length  # empty for length <= 0, shorter and longer than every period drawn
     expect = _bits([pot(n) for n in range(a, b)])
-    assert _bits(pot.window(a, b)) == expect
+    window = pot.window(a, b)
+    assert _bits(window) == expect
+    assert len(window) == len(expect)
+    assert _bits(window[i] for i in range(len(window))) == expect
+    assert _bits(window[i] for i in range(-len(window), 0)) == expect
+    for i in (len(window), -len(window) - 1):
+        with pytest.raises(IndexError):
+            window[i]
     stream = read_window(pot, a, b)
     assert iter(stream) is stream
     streamed = list(stream)
     assert _bits(streamed) == expect
     if pot.period is not None:  # a stored period: the very floats the window holds
-        assert all(x is y for x, y in zip(streamed, pot.window(a, b)))
+        assert isinstance(window, PeriodicWindow) and len(window.values) == pot.period
+        stored = [pot.values[n % pot.period] for n in range(a, b)]
+        assert all(x is y for x, y in zip(streamed, window))
+        assert all(window[i] is y for i, y in enumerate(stored))
+        assert all(window[i - len(window)] is y for i, y in enumerate(stored))
+    else:  # seeded noise stores no period: its window is a list
+        assert isinstance(window, list)
     doubled = read_window(lambda n: pot(n) * 2.0, a, b)  # a plain callable, called per site
     assert _bits(doubled) == _bits([pot(n) * 2.0 for n in range(a, b)])
 
@@ -378,7 +391,7 @@ def test_window_spans_many_periods_from_a_negative_start(kind):
     assert pot.generator != 1 or kind in ("periodic", "iid")
     a = -3 * (pot.period or 4) - 2
     assert _bits(pot.window(a, 40)) == _bits([pot(n) for n in range(a, 40)])
-    assert pot.window(5, 5) == pot.window(9, 2) == []
+    assert list(pot.window(5, 5)) == list(pot.window(9, 2)) == []
 
 
 def _per_site_gordon(V, q_list):
@@ -468,4 +481,4 @@ def test_metric_tower_along_a_non_minimal_translation_alternates_at_every_level(
         assert len(table) == 2 * 3 ** max(level - 2, 0)
         assert table[0] != table[1]
         assert all(v == table[i % 2] for i, v in enumerate(table))
-    assert pot.window(-7, 7) == [pot(1), pot(0)] * 7
+    assert list(pot.window(-7, 7)) == [pot(1), pot(0)] * 7

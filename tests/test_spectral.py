@@ -29,9 +29,10 @@ from limitper import (
 )
 
 from limitper import spectral
+from limitper.potential import PeriodicWindow
 from limitper.spectral import _bisect, _dirichlet_fences
 
-from helpers import exact_transfer, traced_peak_mib, transfer_det
+from helpers import exact_transfer, traced_peak_mib, transfer_det, transfer_log_size
 
 ZERO = lambda n: 0.0
 
@@ -95,10 +96,23 @@ def test_transfer_rescales_instead_of_overflowing():
     )
 
 
-def test_transfer_overflow_raises_instead_of_spinning():
-    # |E - V(n)| = 1e200 overflows a product that was just rescaled to 2**512
-    with pytest.raises(ValueError, match="overflowed"):
-        lyapunov_estimate(periodic_potential([1e200, -1e200]), 0.0, 10)
+def test_transfer_rescales_before_a_step_that_would_overflow():
+    # |E - V(n)| = 1e200 times a product just rescaled to 2**512 overflows the
+    # float range, so the product is rescaled before each such step.
+    for vals in ([1e200, -1e200], [1e300, -1e300], [1e308, -1e308, 3.0]):
+        state = transfer_product(periodic_potential(vals), 0.0, 1, 11)
+        want = transfer_log_size(vals, 0.0, 10, 1)
+        assert state.log_scale + math.log(state.norm()) == pytest.approx(want, rel=1e-12)
+        assert lyapunov_estimate(periodic_potential(vals), 0.0, 10) == pytest.approx(
+            want / 10, rel=1e-12
+        )
+    # 0 - (-1e308) - 1e308 overflows E - V(n) itself; its half does not
+    state = transfer_product(periodic_potential([-1e308, 1e308]), 1e308, 0, 4)
+    want = transfer_log_size([-1e308, 1e308], 1e308, 4)
+    assert state.log_scale + math.log(state.norm()) == pytest.approx(want, rel=1e-12)
+    assert discriminant([1e300, -1e300], 0.0) == -math.inf
+    for vals in ([0.0, 1e200, 0.0, 3.0], (1e308, 0.0)):
+        assert isinstance(bands(vals, 1e-9), BandSet)
 
 
 def test_lyapunov_free_inside_band_vanishes():
@@ -519,6 +533,122 @@ def test_ids_curve_validation():
         IDSCurve((0.0,), (0.1, 0.2))
 
 
+def _ulps_from(x, n):
+    """The float n steps above x (below for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+def _count_both_ways(pot, a, N, energies):
+    """``eigenvalue_count`` of the window ``pot.window(a, a + N)`` and of its list, per energy."""
+    window = pot.window(a, a + N)
+    sites = list(window)
+    return [(eigenvalue_count(window, e), eigenvalue_count(sites, e)) for e in energies]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(_small_values, min_size=1, max_size=33),
+    st.integers(1, 3999),
+    st.integers(-40, 40),
+    st.floats(-8, 8),
+    st.integers(0, 2**16),
+    st.integers(-4, 4),
+)
+def test_periodic_window_count_matches_the_loop(vals, N, a, E, pick, ulps):
+    # a random energy, and one a few ulps from a band edge
+    edges = [x for band in bands(vals, 1e-9).intervals for x in band]
+    energies = (E, _ulps_from(edges[pick % len(edges)], ulps))
+    for fast, loop in _count_both_ways(periodic_potential(vals), a, N, energies):
+        assert fast == loop
+
+
+def _box_eigenvalues(np, sites):
+    n = len(sites)
+    return np.linalg.eigvalsh(np.diag(np.array(sites)) + np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(_small_values, min_size=1, max_size=33),
+    st.integers(1, 500),
+    st.integers(-40, 40),
+    st.integers(0, 2**16),
+    st.integers(-4, 4),
+    st.booleans(),
+)
+def test_periodic_window_count_matches_the_loop_beside_box_eigenvalues(
+    vals, N, a, pick, ulps, whole_periods
+):
+    # Beside eigenvalues of the box, and beside the Dirichlet eigenvalues of
+    # its first p - 1 sites, which are eigenvalues of every box of kp - 1 sites.
+    np = pytest.importorskip("numpy")
+    p = len(vals)
+    if whole_periods:
+        N = max(N // p, 2) * p - 1
+    pot = periodic_potential(vals)
+    sites = list(pot.window(a, a + N))
+    eig = _box_eigenvalues(np, sites)
+    near = [eig[pick % N], eig[(3 * pick + 1) % N]]
+    if p > 1:
+        near.append(_box_eigenvalues(np, list(pot.window(a, a + p - 1)))[pick % (p - 1)])
+    energies = [_ulps_from(float(e), ulps) for e in near]
+    for fast, loop in _count_both_ways(pot, a, N, energies):
+        assert fast == loop
+
+
+def test_periodic_window_count_matches_the_loop_on_a_depth_8_tower():
+    pot = sawtooth_potential(chain_make([2], [2]), 8, base=37)
+    edges = [x for band in bands(pot.level_values(8), 1e-9).intervals[::17] for x in band]
+    energies = [-2.4 + 0.23 * i for i in range(24)] + [_ulps_from(x, 2) for x in edges]
+    for fast, loop in _count_both_ways(pot, 1, 30_000, energies):
+        assert fast == loop
+
+
+def _no_loop_over_a_window(monkeypatch):
+    """Make the loop refuse a ``PeriodicWindow``; returns the list of refusals."""
+    refused = []
+    loop = spectral._pivot_count
+
+    def pivot_count(values, E, d=math.inf):
+        if isinstance(values, PeriodicWindow):
+            refused.append(E)
+            raise AssertionError("the loop ran over a periodic window")
+        return loop(values, E, d)
+
+    monkeypatch.setattr(spectral, "_pivot_count", pivot_count)
+    return refused
+
+
+def test_ids_of_a_periodic_potential_takes_no_loop_over_its_sites(monkeypatch):
+    # Dirichlet eigenvalues of the free N-site box are 2 cos(pi j/(N + 1)), so
+    # the count at E is N + 1 - ceil((N + 1) acos(E/2)/pi).  N = 10**12 sites
+    # are too many for the loop, which would take hours.
+    _no_loop_over_a_window(monkeypatch)
+    N = 10**12
+    grid = (-1.9, -0.7, 0.3, 1.1, 1.95)
+    want = []
+    for E in grid:
+        x = (N + 1) * math.acos(E / 2) / math.pi
+        assert 0.01 < x % 1 < 0.99  # far from an integer next to its rounding error
+        want.append((N + 1 - math.ceil(x)) / N)
+    assert ids_curve(periodic_potential([0.0]), grid, N=N).values == tuple(want)
+
+
+def test_ids_falls_back_to_the_loop_where_the_monodromy_overflows(monkeypatch):
+    # one period multiplies by 1e600: no closed form, every energy runs the loop
+    pot = periodic_potential([1e300, -1e300])
+    grid = (-3.0, 0.0, 0.5, 2.0)
+    expect = [eigenvalue_count(list(pot.window(1, 1001)), e) / 1000 for e in grid]
+    refused = _no_loop_over_a_window(monkeypatch)
+    with pytest.raises(AssertionError, match="the loop ran"):
+        ids_curve(pot, grid, N=1000)
+    assert refused == [grid[0]]
+    monkeypatch.undo()
+    assert list(ids_curve(pot, grid, N=1000).values) == expect
+
+
 def test_log_holder_report_shape():
     curve = IDSCurve((0.0, 0.001, 0.002), (0.1, 0.1, 0.4))
     report = log_holder_report(curve)
@@ -639,17 +769,25 @@ _wild_values = st.one_of(
 )
 @example([1e150, 1.0, -1e150, -2.5, 7e149, 7e149], 4, 5, 45, False)
 def test_transfer_matches_the_per_step_kernel(vals, E, a, length, as_potential):
-    """Rescales (gaps, |V| up to 1e150) and overflows (1e200) decide as before, bitwise.
+    """Rescales (gaps, |V| up to 1e150) decide as before, bitwise.
 
-    An int E picks a site value as the energy: a step with E = V(n) swaps the
-    rows, so one column can stay small while only m12 passes the threshold.
+    A product the per-step kernel lets overflow (1e200) is rescaled before
+    each step instead, and has the size of the exact product.  An int E picks
+    a site value as the energy: a step with E = V(n) swaps the rows, so one
+    column can stay small while only m12 passes the threshold.
     """
     if isinstance(E, int):
         E = vals[E % len(vals)]
     per_site = lambda n: vals[n % len(vals)]
     V = periodic_potential(vals) if as_potential else per_site
     expect = _outcome(_per_step_transfer, per_site, E, a, a + length)
-    assert _outcome(transfer_product, V, E, a, a + length) == expect
+    if not isinstance(expect, str):
+        assert _outcome(transfer_product, V, E, a, a + length) == expect
+        return
+    assert "overflowed" in expect
+    state = transfer_product(V, E, a, a + length)
+    want = transfer_log_size(vals, E, length, a)
+    assert state.log_scale + math.log(state.norm()) == pytest.approx(want, rel=1e-9)
 
 
 def test_transfer_rescales_as_often_as_the_per_step_kernel():
@@ -657,10 +795,6 @@ def test_transfer_rescales_as_often_as_the_per_step_kernel():
     new, old = transfer_product(pot, 0.5, -40, 300), _per_step_transfer(pot, 0.5, -40, 300)
     assert new.log_scale / (512.0 * math.log(2.0)) > 100
     assert new == old and new.log_scale.hex() == old.log_scale.hex()
-    message = "transfer matrix overflowed at site 4, E = 0.0"
-    for kernel in (transfer_product, _per_step_transfer):
-        with pytest.raises(ValueError, match=message):
-            kernel(periodic_potential([1e200, -1e200]), 0.0, 1, 11)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
