@@ -23,6 +23,7 @@ import math
 import operator
 import random
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
@@ -423,7 +424,8 @@ def gordon_check(V: Potential, q_list: Sequence[int]) -> GordonReport:
     if any(q <= prev for q, prev in zip(q_list, (0, *q_list))):
         raise ValueError("q_list must be strictly increasing positive integers")
     q_max = q_list[-1]
-    w = list(read_window(V, 1 - q_max, 2 * q_max + 1))  # w[q_max - 1 + n] is V(n)
+    # w[q_max - 1 + n] is V(n), packed: 8 bytes a site where distinct floats take 32
+    w = array("d", read_window(V, 1 - q_max, 2 * q_max + 1))
     margins = []
     all_ok = True
     for j, q in enumerate(q_list, start=1):

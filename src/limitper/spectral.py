@@ -21,10 +21,12 @@ only fences where it need not be (for ||V|| near the float range) are
 bisected on counts.  Band edges are localized by bisection on Delta,
 which stays stable where explicit polynomial coefficients would not.  The
 integrated density of states uses the symmetric tridiagonal inertia count,
-O(N) per energy with integer-valued counts.  On a window that holds its
-period (``PeriodicWindow``) the same count comes in O(p) per energy from the
-Floquet closed form, certified against the rounding of both computations,
-and the O(N) count runs only where the certificate fails.
+O(N) per energy with integer-valued counts; sites with no stored period are
+read once, in chunks, each chunk advancing every energy's count.  On a
+window that holds its period (``PeriodicWindow``) the same count comes in
+O(p) per energy from the Floquet closed form, certified against the rounding
+of both computations, and the O(N) count runs only where the certificate
+fails.
 """
 
 import math
@@ -458,11 +460,35 @@ def eigenvalue_count(values: Sequence[float], E: float) -> int:
         count = _periodic_count(values.values, len(values), E)
         if count is not None:
             return count
-    return _pivot_count(values, E)
+    return _pivot_count(values, E)[0]
 
 
-def _pivot_count(values: Iterable[float], E: float, d: float = math.inf) -> int:
-    """Negative pivots of ``d_i = (V(i) - E) - 1/d_{i-1}`` over ``values``, from the pivot d."""
+_CHUNK = 4096  # sites ``eigenvalue_counts`` holds at a time
+
+
+def eigenvalue_counts(sites: Iterable[float], energies: Sequence[float]) -> list[int]:
+    """``eigenvalue_count(list(sites), E)`` for each E in ``energies``, reading ``sites`` once.
+
+    The sites are read in chunks of ``_CHUNK``, and each energy's pivot
+    recurrence runs over a chunk from the pivot it ended the last one on, so
+    every count is bitwise the one the loop gives over the whole list, and the
+    memory taken is one chunk whatever the number of sites.
+    """
+    counts = [0] * len(energies)
+    pivots = [math.inf] * len(energies)
+    sites = iter(sites)
+    while chunk := list(islice(sites, _CHUNK)):
+        for i, E in enumerate(energies):
+            count, pivots[i] = _pivot_count(chunk, E, pivots[i])
+            counts[i] += count
+    return counts
+
+
+def _pivot_count(values: Iterable[float], E: float, d: float = math.inf) -> tuple[int, float]:
+    """Negative pivots of ``d_i = (V(i) - E) - 1/d_{i-1}`` over ``values``, from the pivot d.
+
+    Returns the count and the last pivot, from which the recurrence continues.
+    """
     count = 0
     for v in values:
         d = (v - E) - 1.0 / d
@@ -471,7 +497,7 @@ def _pivot_count(values: Iterable[float], E: float, d: float = math.inf) -> int:
         elif d == 0.0:
             d = -5e-324
             count += 1
-    return count
+    return count, d
 
 
 _U = 2.0**-53  # unit roundoff
@@ -519,7 +545,7 @@ def _periodic_count(period: Sequence[float], N: int, E: float) -> Optional[int]:
     L = abs(E) + max(map(abs, period)) + 1.0  # >= |E - V(j)| + 1, up to rounding
     if k < 2 or not L < 2.0**500:
         return None
-    c = _pivot_count(islice(period, p - 1), E)  # bitwise the loop's first p - 1 pivots
+    c = _pivot_count(islice(period, p - 1), E)[0]  # bitwise the loop's first p - 1 pivots
     # P_j = T_j...T_1 by the loop of ``discriminant``.  The second row of P_j
     # is the first row of P_{j-1}, so big[j] bounds every entry of P_j.
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
@@ -625,8 +651,8 @@ def _periodic_count(period: Sequence[float], N: int, E: float) -> Optional[int]:
     # [E - 2 ETA, E + 2 ETA], counted, bound every true tail count inside it.
     tail = [period[-1], *islice(period, t - 1)]
     shift = 16.0 * _U + 2.0 * math.ulp(E)
-    low = _pivot_count(tail, E - shift, d + e_d)
-    if low != _pivot_count(tail, E + shift, d - e_d):
+    low = _pivot_count(tail, E - shift, d + e_d)[0]
+    if low != _pivot_count(tail, E + shift, d - e_d)[0]:
         return None
     return count + low
 
@@ -649,17 +675,22 @@ class IDSCurve:
 
 
 def ids_curve(V: Callable[[int], float], energies: Sequence[float], N: int = 10_000) -> IDSCurve:
-    """IDS sampled on an ascending grid; the potential window is built once.
+    """IDS sampled on an ascending grid; the potential is read once.
 
     A stored-period potential's window is its period, counted in O(p) per
-    energy (``eigenvalue_count``); any other V is read into a list of N sites.
+    energy (``eigenvalue_count``).  Any other V, such as seeded noise, is read
+    site by site in one pass that advances every energy's count
+    (``eigenvalue_counts``), so memory does not grow with N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    window = V.window(1, N + 1) if isinstance(V, Potential) else list(map(V, range(1, N + 1)))
     grid = tuple(float(e) for e in energies)
-    vals = tuple(eigenvalue_count(window, e) / N for e in grid)
-    return IDSCurve(grid, vals)
+    if isinstance(V, Potential) and V.period is not None:
+        window = V.window(1, N + 1)
+        counts = [eigenvalue_count(window, e) for e in grid]
+    else:
+        counts = eigenvalue_counts(read_window(V, 1, N + 1), grid)
+    return IDSCurve(grid, tuple(c / N for c in counts))
 
 
 def log_holder_report(curve: IDSCurve) -> dict:

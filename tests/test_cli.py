@@ -90,6 +90,15 @@ def test_synth_memory_does_not_grow_with_the_window(tmp_path, capsys):
     assert len(lines) == 200_002 and lines[-1] == f"200000,{last!r}"
 
 
+def test_ids_of_noise_memory_does_not_grow_with_the_size(tmp_path, capsys):
+    # the sites are counted in chunks as they are drawn: a list of 200k is 6 MiB
+    out = tmp_path / "ids.csv"
+    ids = ["ids", "--potential", '{"kind":"iid","seed":11}', "--energy-min", "-1",
+           "--energy-max", "1", "--energy-points", "3", "--size", "200000", "--out", str(out)]
+    assert traced_peak_mib(lambda: main(ids)) < 1.0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[2:]] == ["-1.0", "0.0", "1.0"]
+
+
 def test_synth_zero_row_for_identity_orbit(tmp_path, capsys):
     out = tmp_path / "p.csv"
     run(capsys, "synth", "--potential", REMARK, "--nmin", "0", "--nmax", "0", "--out", str(out))
@@ -407,13 +416,15 @@ def test_a_config_file_that_is_no_object_is_a_config_error(tmp_path, capsys, tex
     assert err.startswith("error: config:")
 
 
-def test_ids_checks_out_before_computing(capsys, monkeypatch):
+@pytest.mark.parametrize("pot", [PERIODIC, '{"kind":"iid"}'], ids=["periodic", "iid"])
+def test_ids_checks_out_before_computing(capsys, monkeypatch, pot):
     def fail(*args):
         raise AssertionError("ids swept before checking --out")
 
     monkeypatch.setattr("limitper.cli.eigenvalue_count", fail)
+    monkeypatch.setattr("limitper.spectral.eigenvalue_counts", fail)
     code, _, err = run(
-        capsys, "ids", "--potential", PERIODIC, "--energy-min", "-1", "--energy-max", "1"
+        capsys, "ids", "--potential", pot, "--energy-min", "-1", "--energy-max", "1"
     )
     assert code == 2
     assert err.startswith("error: out:")
@@ -519,6 +530,19 @@ def test_single_energy_point_still_checks_range(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: energy_max:")
+
+
+@pytest.mark.parametrize("command", ["ids", "lyapunov"])
+def test_single_energy_point_needs_equal_ends(tmp_path, capsys, command):
+    # one point cannot run from energy_min to energy_max; it used to drop energy_max
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys, command, "--potential", PERIODIC, "--energy-min", "0", "--energy-max", "1",
+        "--energy-points", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error: energy_max:")
+    assert not out.exists()
 
 
 def test_config_file_rejects_fields_the_command_does_not_take(tmp_path, capsys):

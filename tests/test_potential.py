@@ -27,7 +27,7 @@ from limitper import (
 from limitper import potential as potential_module
 from limitper.potential import PeriodicWindow, read_window
 
-from helpers import metric_value, random_chain, sawtooth_value
+from helpers import metric_value, random_chain, sawtooth_value, traced_peak_mib
 
 DYADIC = chain_make([2], [2])
 
@@ -450,6 +450,15 @@ def test_gordon_refuses_an_empty_q_list_before_reading_a_window():
     with pytest.raises(ValueError, match="q_list must be nonempty"):
         gordon_check(lambda n: sites.append(n) or 0.0, [])
     assert sites == []
+
+
+def test_gordon_holds_its_noise_window_packed():
+    # 3 * 2**15 sites: 0.75 MiB as doubles, 3 MiB as a list of distinct floats
+    pot = iid_uniform_potential(5)
+    q_list = [2**i for i in range(1, 16)]
+    reports = []
+    assert traced_peak_mib(lambda: reports.append(gordon_check(pot, q_list))) < 1.0
+    assert reports[0].margins[-1].max_diff > 0.0
 
 
 def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():

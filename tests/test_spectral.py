@@ -30,7 +30,7 @@ from limitper import (
 
 from limitper import spectral
 from limitper.potential import PeriodicWindow
-from limitper.spectral import _bisect, _dirichlet_fences
+from limitper.spectral import _bisect, _dirichlet_fences, eigenvalue_counts
 
 from helpers import exact_transfer, traced_peak_mib, transfer_det, transfer_log_size
 
@@ -498,6 +498,47 @@ def test_ids_free_against_explicit_eigenvalues():
 def test_ids_zero_pivot_counts_eigenvalue():
     # E = 0 hits an exact eigenvalue of the 1-site leading minor of the free matrix
     assert eigenvalue_count([0.0, 0.0], 0.0) == 1
+
+
+CHUNK = spectral._CHUNK
+
+
+def _boundary_diagonals(n):
+    """n random sites, a zero diagonal and a zero diagonal shifted one site."""
+    rng = random.Random(n)
+    return {
+        "random": [rng.uniform(-2.5, 2.5) for _ in range(n)],
+        "zero": [0.0] * n,
+        "shifted": [1.0, 1.0, *[0.0] * (n - 2)][:n],
+    }
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_eigenvalue_counts_match_the_count_over_the_whole_list(n):
+    energies = [0.7, -3.0, 0.0, 2.9, -0.4, 0.0]  # unsorted, with the zero-pivot energy
+    for sites in _boundary_diagonals(n).values():
+        assert eigenvalue_counts(iter(sites), []) == []
+        want = [eigenvalue_count(sites, E) for E in energies]
+        assert eigenvalue_counts(iter(sites), energies) == want
+
+
+def test_boundary_diagonals_put_a_zero_pivot_on_each_side_of_a_chunk_boundary():
+    # At E = 0 a zero diagonal has a zero pivot, nudged to -5e-324, at every
+    # odd site, so at the first site of the second chunk.  Shifted one site,
+    # at every even site, so at the last site of the first chunk, and the
+    # second chunk must go on from that pivot, not afresh.  The test above
+    # counts both across the boundary.
+    sites = _boundary_diagonals(2 * CHUNK + 1)
+    assert spectral._pivot_count(sites["zero"][: CHUNK + 1], 0.0)[1] == -5e-324
+    assert spectral._pivot_count(sites["shifted"][:CHUNK], 0.0)[1] == -5e-324
+
+
+def test_ids_curve_of_noise_is_the_count_over_its_window():
+    pot = iid_uniform_potential(3, -1.0, 1.0)
+    grid = (-2.0, 0.1, 0.5, 2.5)
+    want = tuple(eigenvalue_count(pot.window(1, 3001), E) / 3000 for E in grid)
+    assert ids_curve(pot, grid, N=3000).values == want
+    assert ids_curve(pot.value, grid, N=3000).values == want
 
 
 def test_ids_monotone_exact():
