@@ -20,7 +20,6 @@ evaluation never branches on which kind a potential has.
 """
 
 import math
-import operator
 import random
 import sys
 from array import array
@@ -193,7 +192,13 @@ class Potential:
     __call__ = value
 
     def window(self, start: int, stop: int) -> "PeriodicWindow":
-        """``V(n)`` for n in ``range(start, stop)``: the stored period rotated to ``start``."""
+        """``V(n)`` for n in ``range(start, stop)``: the stored period rotated to ``start``.
+
+        Only a potential that stores a period has a window; ``read_window``
+        reads any other, such as seeded noise.
+        """
+        if self.values is None:
+            raise ValueError(f"potential kind {self.kind!r} stores no period")
         r = start % len(self.values)
         return PeriodicWindow(self.values[r:] + self.values[:r], max(stop - start, 0))
 
@@ -232,10 +237,6 @@ class NoisePotential(Potential):
 
     __call__ = value
 
-    def window(self, start: int, stop: int) -> list[float]:
-        """``[V(n) for n in range(start, stop)]`` as one list: noise has no period to hold."""
-        return list(self._sites(start, stop))
-
     def _sites(self, start: int, stop: int) -> Iterator[float]:
         """V at ``start, ..., stop - 1``, lazily: one generator reseeded per site."""
         rng = random.Random()
@@ -252,9 +253,9 @@ class PeriodicWindow:
     """``length`` consecutive sites of a p-periodic sequence, held as one period.
 
     Site i of the window is ``values[i % p]``, the very float stored there, so
-    a window of any length takes memory for one period.  It reads like the list
-    of its sites (``len``, iteration, integer indexing from either end), and
-    ``spectral.eigenvalue_count`` reads the period itself.
+    a window of any length takes memory for one period.  It has a length and
+    iterates over its sites, and ``spectral.eigenvalue_count`` reads the period
+    itself.
     """
 
     values: tuple[float, ...]
@@ -266,21 +267,13 @@ class PeriodicWindow:
     def __iter__(self) -> Iterator[float]:
         return islice(cycle(self.values), self.length)
 
-    def __getitem__(self, i: int) -> float:
-        j = operator.index(i)
-        if j < 0:
-            j += self.length
-        if not 0 <= j < self.length:
-            raise IndexError(f"window index {i} out of range for length {self.length}")
-        return self.values[j % len(self.values)]
-
 
 def read_window(V: Callable[[int], float], start: int, stop: int) -> Iterator[float]:
     """V at ``start, ..., stop - 1``, yielded one site at a time for a single pass.
 
     A ``Potential`` streams its stored period, or its seeded draws, and holds
     nothing else, so a pass over N sites takes memory independent of N.  Any
-    other V is called site by site.  ``Potential.window`` is the indexable form.
+    other V is called site by site.  ``Potential.window`` holds a stored period.
     """
     return V._sites(start, stop) if isinstance(V, Potential) else map(V, range(start, stop))
 

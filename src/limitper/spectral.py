@@ -3,8 +3,8 @@
 Transfer-matrix products are rescaled at norm 2**512 with an accumulated
 log-scale, so Lyapunov exponents are computed overflow-free.  Each step tests
 only the two entries it computes (the other two are last step's, already in
-range), and a NaN or out-of-range entry runs the full check; a step that
-overflows even so restarts the product, rescaled before each step.  Periodic
+range), and an out-of-range entry runs the full check; an infinite or NaN
+entry restarts the product, rescaled before each step.  Periodic
 spectra come from the discriminant (trace of the one-period transfer matrix): the
 spectrum is exactly ``{E : |Delta(E)| <= 2}``.  Delta runs the two-solution
 recurrence over the period in a plain loop, the same arithmetic as the
@@ -33,10 +33,10 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .frequency import FrequencyChain
-from .potential import PeriodicLayer, PeriodicWindow, Potential, read_window
+from .potential import PeriodicWindow, Potential, read_window
 
 _RESCALE = 2.0**512
 _RESCALE_LOG = 512.0 * math.log(2.0)
@@ -70,26 +70,26 @@ def transfer_product(
 
     Rescaling after a step cannot save a step whose |E - V(n)| is so large
     (about 1.3e154 or more) that its product with the rescaled entries
-    overflows.  So the first infinite entry restarts the product in
-    ``_prescaled_transfer``, which rescales before such a step; only a site or
-    energy that is itself infinite or NaN still raises.
+    overflows.  So the first infinite or NaN entry restarts the product in
+    ``_prescaled_transfer``, which rescales before such a step; a site or
+    energy that is itself infinite or NaN raises there.
     """
     if n_start > n_end:
         raise ValueError(f"n_start {n_start} must be <= n_end {n_end}")
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     log_scale = 0.0
     R = _RESCALE
-    for n, v in enumerate(read_window(V, n_start, n_end), n_start):
+    for v in read_window(V, n_start, n_end):
         a = E - v
         m11, m21 = a * m11 - m21, m11
         m12, m22 = a * m12 - m22, m12
         # m21 and m22 were m11 and m12 a step ago, within R; NaN fails the test
         if -R <= m11 <= R and -R <= m12 <= R:
             continue
+        if not (abs(m11) < math.inf and abs(m12) < math.inf):
+            return _prescaled_transfer(V, E, n_start, n_end)
         mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
         while mag > _RESCALE:
-            if mag == math.inf:
-                return _prescaled_transfer(V, E, n_start, n_end, n)
             m11 /= _RESCALE
             m12 /= _RESCALE
             m21 /= _RESCALE
@@ -100,7 +100,7 @@ def transfer_product(
 
 
 def _prescaled_transfer(
-    V: Callable[[int], float], E: float, n_start: int, n_end: int, overflow_site: int
+    V: Callable[[int], float], E: float, n_start: int, n_end: int
 ) -> TransferState:
     """``transfer_product`` with each step rescaled before it, for huge |E - V(n)|.
 
@@ -109,15 +109,14 @@ def _prescaled_transfer(
     a power of two that brings it into (2**998, 2**1000], so ``2 h m - m'``
     cannot overflow.  An entry the scaling pushes below 2**-1022 is then less
     than 2**-995 of the largest, so what it loses is far below the rounding of
-    the step.  A site or energy that is infinite or NaN raises the error the
-    plain product raised at ``overflow_site``.
+    the step.  The first site n where V(n) or E is infinite or NaN raises.
     """
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     log_scale = 0.0
-    for v in read_window(V, n_start, n_end):
+    for n, v in enumerate(read_window(V, n_start, n_end), n_start):
         h = 0.5 * E - 0.5 * v
         if not math.isfinite(h):
-            raise ValueError(f"transfer matrix overflowed at site {overflow_site}, E = {E!r}")
+            raise ValueError(f"transfer step at site {n} is not finite: V = {v!r}, E = {E!r}")
         mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
         if mag * (abs(h) + 1.0) > 2.0**1000:
             shift = math.frexp(mag)[1] + math.frexp(abs(h) + 1.0)[1] - 1000
@@ -141,22 +140,11 @@ def lyapunov_estimate(V: Callable[[int], float], E: float, N: int) -> float:
     return (state.log_scale + math.log(state.norm())) / N
 
 
-_PeriodValues = Union[PeriodicLayer, Sequence[float]]
-
-
-def _period_values(v: _PeriodValues) -> tuple[float, ...]:
-    if isinstance(v, PeriodicLayer):
-        return v.values
-    vals = tuple(map(float, v))
-    if not vals:
-        raise ValueError("period values must be nonempty")
-    return vals
-
-
-def discriminant(v_period: _PeriodValues, E: float) -> float:
+def discriminant(vals: Sequence[float], E: float) -> float:
     """Trace of the one-period transfer matrix (a degree-p monic polynomial in E).
 
-    The product's columns are two solutions of ``u(n+1) = (E - V(n)) u(n) -
+    ``vals`` is one nonempty period, read as given and never copied.  The
+    product's columns are two solutions of ``u(n+1) = (E - V(n)) u(n) -
     u(n-1)``: phi runs down (m11, m21) and theta down (m12, m22), with the same
     operations in the same order as ``transfer_product``, so the trace
     ``phi + theta_prev`` is bitwise its value whenever that product never
@@ -164,7 +152,8 @@ def discriminant(v_period: _PeriodValues, E: float) -> float:
     overflow) is redone by the rescaled product; a trace past the float range
     comes back as a signed infinity.
     """
-    vals = _period_values(v_period)
+    if not vals:
+        raise ValueError("period values must be nonempty")
     phi, phi_prev, theta, theta_prev = 1.0, 0.0, 0.0, 1.0
     for v in vals:
         a = E - v
@@ -396,7 +385,7 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     return fences
 
 
-def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
+def bands(v_period: Sequence[float], tol: float = 1e-9) -> BandSet:
     """Spectrum ``{E : |Delta(E)| <= 2}`` of a periodic potential as a BandSet.
 
     Interlacing fixes one bracket per band.  The Dirichlet eigenvalues
@@ -411,14 +400,17 @@ def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
     (``_dirichlet_fences``): a fence off by ``tol`` could sit inside a
     neighbouring band.  Every band is
     found; bands separated by less than ``tol`` (a closed gap) merge into one
-    interval.
+    interval.  The period is converted to a tuple of floats once, here, and
+    must be nonempty and finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vals = _period_values(v_period)
+    vals = tuple(map(float, v_period))
+    if not vals:
+        raise ValueError("period values must be nonempty")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("period values must be finite")
     p = len(vals)
-    # A layer is converted once here; discriminant reads its values as they are.
-    layer = PeriodicLayer(p, vals)
     fences = _dirichlet_fences(vals)
 
     merged: list[list[float]] = []
@@ -426,7 +418,7 @@ def bands(v_period: _PeriodValues, tol: float = 1e-9) -> BandSet:
         right_sign = (-1) ** (p - j)  # sign of Delta right of band j
 
         def side(e: float) -> int:
-            d = discriminant(layer, e)
+            d = discriminant(vals, e)
             return 0 if abs(d) <= 2.0 else (1 if d * right_sign > 0.0 else -1)
 
         lo, hi = fences[j - 1], fences[j]
@@ -670,8 +662,12 @@ class IDSCurve:
     def __post_init__(self) -> None:
         if len(self.energies) != len(self.values):
             raise ValueError("energies and values must have equal length")
-        if any(b < a for a, b in zip(self.energies, self.energies[1:])):
-            raise ValueError("energy grid must be ascending")
+        _check_ascending(self.energies)
+
+
+def _check_ascending(energies: Sequence[float]) -> None:
+    if any(b < a for a, b in zip(energies, energies[1:])):
+        raise ValueError("energy grid must be ascending")
 
 
 def ids_curve(V: Callable[[int], float], energies: Sequence[float], N: int = 10_000) -> IDSCurve:
@@ -685,6 +681,7 @@ def ids_curve(V: Callable[[int], float], energies: Sequence[float], N: int = 10_
     if N < 1:
         raise ValueError("N must be >= 1")
     grid = tuple(float(e) for e in energies)
+    _check_ascending(grid)
     if isinstance(V, Potential) and V.period is not None:
         window = V.window(1, N + 1)
         counts = [eigenvalue_count(window, e) for e in grid]

@@ -735,6 +735,14 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, err)
 
 
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 RUN_SEED = "the run's `seed`"  # how the README names an iid object's default seed
 
 

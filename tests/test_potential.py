@@ -361,26 +361,21 @@ potentials = st.builds(
 def test_window_is_the_per_site_read_bitwise(pot, a, length):
     b = a + length  # empty for length <= 0, shorter and longer than every period drawn
     expect = _bits([pot(n) for n in range(a, b)])
-    window = pot.window(a, b)
-    assert _bits(window) == expect
-    assert len(window) == len(expect)
-    assert _bits(window[i] for i in range(len(window))) == expect
-    assert _bits(window[i] for i in range(-len(window), 0)) == expect
-    for i in (len(window), -len(window) - 1):
-        with pytest.raises(IndexError):
-            window[i]
     stream = read_window(pot, a, b)
     assert iter(stream) is stream
     streamed = list(stream)
     assert _bits(streamed) == expect
     if pot.period is not None:  # a stored period: the very floats the window holds
+        window = pot.window(a, b)
+        assert _bits(window) == expect
+        assert len(window) == len(expect)
         assert isinstance(window, PeriodicWindow) and len(window.values) == pot.period
         stored = [pot.values[n % pot.period] for n in range(a, b)]
         assert all(x is y for x, y in zip(streamed, window))
-        assert all(window[i] is y for i, y in enumerate(stored))
-        assert all(window[i - len(window)] is y for i, y in enumerate(stored))
-    else:  # seeded noise stores no period: its window is a list
-        assert isinstance(window, list)
+        assert all(x is y for x, y in zip(window, stored))
+    else:  # seeded noise stores no period, so it has no window
+        with pytest.raises(ValueError, match="potential kind 'iid' stores no period"):
+            pot.window(a, b)
     doubled = read_window(lambda n: pot(n) * 2.0, a, b)  # a plain callable, called per site
     assert _bits(doubled) == _bits([pot(n) * 2.0 for n in range(a, b)])
 
@@ -390,7 +385,14 @@ def test_window_spans_many_periods_from_a_negative_start(kind):
     pot = _any_potential(kind, chain_make([2], [3]), 3, 7, 5, [0.25, -1.5, 3.0], 11)
     assert pot.generator != 1 or kind in ("periodic", "iid")
     a = -3 * (pot.period or 4) - 2
-    assert _bits(pot.window(a, 40)) == _bits([pot(n) for n in range(a, 40)])
+    expect = _bits([pot(n) for n in range(a, 40)])
+    assert _bits(read_window(pot, a, 40)) == expect
+    assert list(read_window(pot, 5, 5)) == list(read_window(pot, 9, 2)) == []
+    if pot.period is None:
+        with pytest.raises(ValueError, match="stores no period"):
+            pot.window(a, 40)
+        return
+    assert _bits(pot.window(a, 40)) == expect
     assert list(pot.window(5, 5)) == list(pot.window(9, 2)) == []
 
 
@@ -465,8 +467,10 @@ def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():
     """Site n is ``low + (high - low) * random.Random(f"{seed}:{n}").random()``."""
     pot = iid_uniform_potential(2**40 + 3, -0.5, 2.0)
     expect = [-0.5 + 2.5 * random.Random(f"{2**40 + 3}:{n}").random() for n in range(-9, 9)]
-    assert _bits(pot.window(-9, 9)) == _bits(expect)
+    assert _bits(read_window(pot, -9, 9)) == _bits(expect)
     assert _bits(map(pot, range(-9, 9))) == _bits(expect)
+    with pytest.raises(ValueError, match="potential kind 'iid' stores no period"):
+        pot.window(-9, 9)
 
 
 def test_potential_is_a_stored_period_and_seeded_noise_its_subclass():

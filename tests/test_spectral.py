@@ -29,7 +29,7 @@ from limitper import (
 )
 
 from limitper import spectral
-from limitper.potential import PeriodicWindow
+from limitper.potential import PeriodicWindow, read_window
 from limitper.spectral import _bisect, _dirichlet_fences, eigenvalue_counts
 
 from helpers import exact_transfer, traced_peak_mib, transfer_det, transfer_log_size
@@ -402,6 +402,34 @@ def test_bands_containment_and_count():
         bands([0.0], tol=0.0)
 
 
+def test_bands_and_discriminant_refuse_an_empty_or_non_finite_period():
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="period values must be nonempty"):
+            bands(empty)
+        with pytest.raises(ValueError, match="period values must be nonempty"):
+            discriminant(empty, 0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="period values must be finite"):
+            bands([0.0, bad, 1.0])
+
+
+def test_bands_and_discriminant_read_a_period_of_ints_as_its_floats():
+    ints, floats = [1, -2, 0, 3], [1.0, -2.0, 0.0, 3.0]
+    assert bands(ints) == bands(floats)
+    for E in (-3.1, 0.25, 2.0):
+        assert discriminant(ints, E).hex() == discriminant(floats, E).hex()
+
+
+def test_bands_where_floating_point_cannot_split_a_bracket():
+    # mu_1 and mu_2 both lie within one ulp of 0.5, so the multisection's
+    # bracket around them cannot be split and both fences take its midpoint.
+    vals = (0.5, 1e300, 0.5, 0.0)
+    fences = _dirichlet_fences(vals)
+    assert fences == [-1e300, 0.5, 0.5, 1e300, 1e300]
+    assert _hexes(fences) == _hexes(_old_fences(vals))
+    assert len(bands(list(vals)).intervals) == 4
+
+
 @pytest.fixture(scope="module")
 def dyadic_spectra():
     """Band sets of the dyadic sawtooth tower at levels 4..8 (p = 16..256)."""
@@ -536,9 +564,11 @@ def test_boundary_diagonals_put_a_zero_pivot_on_each_side_of_a_chunk_boundary():
 def test_ids_curve_of_noise_is_the_count_over_its_window():
     pot = iid_uniform_potential(3, -1.0, 1.0)
     grid = (-2.0, 0.1, 0.5, 2.5)
-    want = tuple(eigenvalue_count(pot.window(1, 3001), E) / 3000 for E in grid)
+    want = tuple(eigenvalue_count(list(read_window(pot, 1, 3001)), E) / 3000 for E in grid)
     assert ids_curve(pot, grid, N=3000).values == want
     assert ids_curve(pot.value, grid, N=3000).values == want
+    with pytest.raises(ValueError, match="potential kind 'iid' stores no period"):
+        pot.window(1, 3001)
 
 
 def test_ids_monotone_exact():
@@ -572,6 +602,13 @@ def test_ids_curve_validation():
         IDSCurve((0.0, -1.0), (0.1, 0.2))
     with pytest.raises(ValueError):
         IDSCurve((0.0,), (0.1, 0.2))
+
+    def V(n):
+        raise AssertionError(f"read site {n}")
+
+    # the grid is checked before any site is read
+    with pytest.raises(ValueError, match="energy grid must be ascending"):
+        ids_curve(V, [1.0, 0.0], N=50_000)
 
 
 def _ulps_from(x, n):
@@ -678,16 +715,19 @@ def test_ids_of_a_periodic_potential_takes_no_loop_over_its_sites(monkeypatch):
 
 
 def test_ids_falls_back_to_the_loop_where_the_monodromy_overflows(monkeypatch):
-    # one period multiplies by 1e600: no closed form, every energy runs the loop
-    pot = periodic_potential([1e300, -1e300])
+    # One period of [1e300, -1e300] multiplies by 1e600, and the closed form
+    # refuses its ||V|| before it starts.  [1e150] * 3 passes that guard, and
+    # its monodromy overflows.  No closed form: every energy runs the loop.
     grid = (-3.0, 0.0, 0.5, 2.0)
-    expect = [eigenvalue_count(list(pot.window(1, 1001)), e) / 1000 for e in grid]
-    refused = _no_loop_over_a_window(monkeypatch)
-    with pytest.raises(AssertionError, match="the loop ran"):
-        ids_curve(pot, grid, N=1000)
-    assert refused == [grid[0]]
-    monkeypatch.undo()
-    assert list(ids_curve(pot, grid, N=1000).values) == expect
+    for values in ([1e300, -1e300], [1e150] * 3):
+        pot = periodic_potential(values)
+        expect = [eigenvalue_count(list(pot.window(1, 1001)), e) / 1000 for e in grid]
+        refused = _no_loop_over_a_window(monkeypatch)
+        with pytest.raises(AssertionError, match="the loop ran"):
+            ids_curve(pot, grid, N=1000)
+        assert refused == [grid[0]]
+        monkeypatch.undo()
+        assert list(ids_curve(pot, grid, N=1000).values) == expect
 
 
 def test_log_holder_report_shape():
@@ -840,8 +880,12 @@ def test_transfer_rescales_as_often_as_the_per_step_kernel():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_transfer_non_finite_sites_match_the_per_step_kernel(bad):
+    # Not compared with the per-step kernel, which returns NaN entries here:
+    # max() with a NaN first argument is NaN, so its rescale loop never runs.
     for site in (0, 1, 5):
         V = lambda n: bad if n == site else 0.25 * (n % 3)
         for E in (0.0, 3.0):
-            expect = _outcome(_per_step_transfer, V, E, 0, 12)
+            expect = f"transfer step at site {site} is not finite: V = {bad!r}, E = {E!r}"
             assert _outcome(transfer_product, V, E, 0, 12) == expect
+            with pytest.raises(ValueError, match=f"at site {site + 1} is not finite"):
+                lyapunov_estimate(lambda n: V(n - 1), E, 12)
