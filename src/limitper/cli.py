@@ -474,10 +474,10 @@ _COMMANDS = {
 }
 
 
-def _layer_tower(chain, layers, residual_bound, base, generator, tol) -> Potential:
+def _layer_tower(chain, layers, residual_bound, base, generator) -> Potential:
     """The ``layers`` kind: explicit layer tables read from ``base`` in steps of ``generator``."""
     f = SamplingFunction(chain, tuple(PeriodicLayer(**layer) for layer in layers), residual_bound)
-    return sampled_potential(f, ProcyclicElement.from_int(chain, f.depth, base), generator, tol)
+    return sampled_potential(f, ProcyclicElement.from_int(chain, f.depth, base), generator)
 
 
 _TOWER = {"chain": REQUIRED, "depth": 8, "base": 0, "generator": 1}
@@ -488,7 +488,7 @@ _POTENTIALS = {
     "remark": (sawtooth_potential, _TOWER),
     "metric": (metric_potential, _TOWER),
     "layers": (_layer_tower, {"chain": REQUIRED, "layers": REQUIRED, "residual_bound": 0.0,
-                              "base": 0, "generator": 1, "tol": 1e-9}),
+                              "base": 0, "generator": 1}),
     "periodic": (periodic_potential, {"values": REQUIRED}),
     "iid": (iid_uniform_potential, {"seed": None, "low": 0.0, "high": 1.0}),
 }

@@ -158,12 +158,12 @@ class Potential:
     ``sampling`` read at orbit index ``base + n * generator``, with
     ``tails[l - 1]`` the certified tail of the level-l approximant for l in
     ``1..depth``.  Every kind stores one period of finite values in ``values``
-    (a tower's orbit, read once) and V(n) is ``values[n % period]``.  Seeded
-    noise, which stores no period, is the subclass ``NoisePotential``.
+    (a tower's orbit, read once) and V(n) is ``values[n % period]``, within
+    ``tol`` of the untruncated tower.  Seeded noise, which stores no period, is
+    the subclass ``NoisePotential``.
     """
 
     kind: str
-    tol: float
     base: int = 0
     generator: int = 1
     sampling: Optional[SamplingFunction] = None
@@ -177,6 +177,11 @@ class Potential:
     @property
     def chain(self) -> Optional[FrequencyChain]:
         return self.sampling.chain if self.sampling is not None else None
+
+    @property
+    def tol(self) -> float:
+        """A tower's ``residual_bound``, its deepest tail ``tails[-1]``; 0 for any other kind."""
+        return self.sampling.residual_bound if self.sampling is not None else 0.0
 
     @property
     def depth(self) -> Optional[int]:
@@ -239,7 +244,7 @@ class NoisePotential(Potential):
 
     def _sites(self, start: int, stop: int) -> Iterator[float]:
         """V at ``start, ..., stop - 1``, lazily: one generator reseeded per site."""
-        rng = random.Random()
+        rng = random.Random.__new__(random.Random)
         return (self._iid_site(rng, n) for n in range(start, stop))
 
     def _iid_site(self, rng: random.Random, n: int) -> float:
@@ -304,7 +309,6 @@ def _tower_potential(
     """Read ``f`` at orbit index ``base + n * generator``; ``tail(l)`` certifies level l."""
     return Potential(
         kind=kind,
-        tol=f.residual_bound,
         base=base,
         generator=generator,
         sampling=f,
@@ -317,7 +321,7 @@ def periodic_potential(values: Sequence[float]) -> Potential:
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("periodic potential needs at least one value")
-    return Potential(kind="periodic", tol=0.0, values=vals)
+    return Potential(kind="periodic", values=vals)
 
 
 _LAYER_PERIOD_GUARD = 1_000_000
@@ -358,14 +362,8 @@ def metric_potential(
     return _family_potential("metric", chain, depth, base, generator)
 
 
-def sampled_potential(
-    f: SamplingFunction, omega: ProcyclicElement, k: int, tol: float
-) -> Potential:
-    """Wrap ``n -> f(omega + n*k)`` as a potential; the tower tail must certify tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if f.residual_bound >= tol:
-        raise ValueError(f"tower tail {f.residual_bound} cannot certify tolerance {tol}")
+def sampled_potential(f: SamplingFunction, omega: ProcyclicElement, k: int) -> Potential:
+    """Wrap ``n -> f(omega + n*k)`` as a potential, certified to ``f.residual_bound``."""
     if omega.chain != f.chain:
         raise ValueError("base point lives over a different chain")
     if omega.level < f.depth:
@@ -380,13 +378,7 @@ def iid_uniform_potential(seed: int, low: float = 0.0, high: float = 1.0) -> Noi
         raise ValueError("high must be >= low")
     if not math.isfinite(high - low):
         raise ValueError("high - low must be finite")
-    return NoisePotential(
-        kind="iid",
-        tol=0.0,
-        seed=seed,
-        low=low,
-        high=high,
-    )
+    return NoisePotential(kind="iid", seed=seed, low=low, high=high)
 
 
 class GordonMargin(NamedTuple):

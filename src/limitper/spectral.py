@@ -426,7 +426,7 @@ def bands(v_period: Sequence[float], tol: float = 1e-9) -> BandSet:
         left = _bisect(lambda e: side(e) or 1, lo, seed, tol)
         right = _bisect(lambda e: side(e) or -1, seed, hi, tol)
         if merged and left - merged[-1][1] < tol:
-            merged[-1][1] = max(merged[-1][1], right)
+            merged[-1][1] = right  # band j - 1 ends at or below fence j - 1 <= seed <= right
         else:
             merged.append([left, right])
     return BandSet(tuple((lo, hi) for lo, hi in merged))
@@ -573,8 +573,10 @@ def _periodic_count(period: Sequence[float], N: int, E: float) -> Optional[int]:
         x2, y2 = a * x2 + y2, -x2
         prev, col = col, abs(x1) + abs(x2)
     err = 8.0 * _U * (L + 2.0) * total
-    if not math.isfinite(err + abs(m11) + abs(m12) + abs(m21) + abs(m22)):
-        return None
+    # No overflow check: a non-finite entry of P_j stays so and makes big[p-1],
+    # a term of total, and err non-finite, which fails the next test.  A finite
+    # err bounds P_{p-1}, so m21 and m22 are finite; a non-finite m11 fails the
+    # margin of x, and m12 is not read again.
     # c: no zero of M21 within reach, so no mu within ETA of E, and the
     # loop's c is the true count of mu's all over [E - ETA, E + ETA].
     if not abs(m21) > err:

@@ -208,7 +208,7 @@ def test_criterion_10_periodization():
     ident = ProcyclicElement.identity(chain, 2)
 
     def two_periodic(fn, k):
-        pot = sampled_potential(fn, ident, k, 1e-9)
+        pot = sampled_potential(fn, ident, k)
         return all(pot(n + 2) == pot(n) for n in range(-8, 8))
 
     verdicts = (two_periodic(g, 1), two_periodic(g, 3))

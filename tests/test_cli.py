@@ -80,6 +80,21 @@ def test_synth_matches_library(tmp_path, capsys):
     assert manifest["config_hash"] == lines[0].split("=", 1)[1]
 
 
+def test_synth_of_layers_certifies_its_residual_bound(tmp_path, capsys):
+    # the tolerance is the tower's own tail: an honest 1e-6 runs, and nothing else is asked for
+    out = tmp_path / "pot.csv"
+    layers = LAYERS + '},{"period":2,"values":[0.25,0]}],"residual_bound":1e-6}'
+    code, _, err = run(capsys, "synth", "--potential", layers, "--nmin", "0", "--nmax", "3",
+                       "--out", str(out))
+    assert (code, err) == (0, "")
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[2:]] == [
+        "0.75", "0.5", "0.75", "0.5"]
+    assert json.loads((tmp_path / "pot.csv.manifest.json").read_text())["tolerance"] == 1e-6
+    code, _, err = run(capsys, "synth", "--potential", layers[:-1] + ',"tol":1e-3}',
+                       "--out", str(out))
+    assert (code, err) == (2, "error: potential.tol: not a field of kind 'layers'\n")
+
+
 def test_synth_memory_does_not_grow_with_the_window(tmp_path, capsys):
     # rows go to the file as they are read: a list of 200k rows is 18 MiB
     synth = ["synth", "--potential", REMARK, "--nmin", "1", "--nmax", "200000"]
@@ -368,7 +383,7 @@ def test_spectrum_rejects_potentials_without_layers(capsys, kind, descriptor):
         (("synth", "--potential", '{"kind":"periodic","values":[1],"bogus":1}'), "potential.bogus"),
         (("synth", "--potential", TOWER + ',"depth":0}'), "potential.depth"),
         (("synth", "--potential", LAYERS + ',"x":1}]}'), "potential.layers[0].x"),
-        (("synth", "--potential", LAYERS + '}],"tol":0}'), "potential.tol"),
+        (("synth", "--potential", LAYERS + '}],"tol":1e-9}'), "potential.tol"),
         (("synth", "--potential", LAYERS + '}],"residual_bound":-1}'), "potential.residual_bound"),
         (("synth", "--potential", '{"kind":"iid","seed":-5}'), "potential.seed"),
         (("lyapunov", "--potential", PERIODIC, "--energy-min", "abc", "--energy-max", "1"),
@@ -606,7 +621,7 @@ potentials = st.one_of(
         {"kind": st.just("layers"), "chain": st.just(FINITE_CHAINS[0]),
          "layers": st.integers(0, 3).flatmap(
              lambda d: st.tuples(*(_layer(j) for j in range(d))).map(list)) | odd},
-        optional={"base": small_ints | odd, "generator": small_ints | odd, "tol": floats | odd,
+        optional={"base": small_ints | odd, "generator": small_ints | odd,
                   "residual_bound": floats | odd},
     ),
     st.fixed_dictionaries({"kind": st.just("periodic"),
@@ -831,7 +846,7 @@ valid_potentials = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.just("layers"), "chain": st.just({"prefix": [1, 2]}),
          "layers": st.just([{"period": 1, "values": [0.5]}, {"period": 2, "values": [0.25, 0.0]}])},
-        optional={"base": small_ints, "generator": small_ints, "tol": st.just(1e-6),
+        optional={"base": small_ints, "generator": small_ints,
                   "residual_bound": st.just(1e-10)},
     ),
     st.fixed_dictionaries({"kind": st.just("periodic"),

@@ -83,7 +83,7 @@ def test_certified_tails_never_round_down(seed, level):
     assert Fraction(f.residual_bound) >= sawtooth_tail(chain, depth)
     pot = sawtooth_potential(chain, depth)
     omega = ProcyclicElement.from_int(chain, depth, 0)
-    stored = sampled_potential(f, omega, 1, 2 * f.residual_bound)
+    stored = sampled_potential(f, omega, 1)
     for l in range(1, depth + 1):
         assert Fraction(pot.level_tail(l)) >= sawtooth_tail(chain, l)
         layers = sum(Fraction(layer.sup_norm()) for layer in f.layers[l:])
@@ -107,7 +107,7 @@ def test_sample_single_layer_parity():
     chain = chain_make([2])
     f = SamplingFunction(chain, (PeriodicLayer(2, (0.0, 1.0)),))
     ident = ProcyclicElement.identity(chain, 1)
-    assert [sampled_potential(f, ident, 1, 1e-9)(n) for n in range(-3, 4)] == [
+    assert [sampled_potential(f, ident, 1)(n) for n in range(-3, 4)] == [
         1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0
     ]
 
@@ -115,9 +115,8 @@ def test_sample_single_layer_parity():
 def test_sample_agrees_with_sawtooth_formula():
     f = sawtooth_potential(DYADIC, 5).sampling
     ident = ProcyclicElement.identity(DYADIC, 5)
-    tol = 2 * f.residual_bound + 1e-12
     for n in range(-20, 21):
-        assert sampled_potential(f, ident, 1, tol)(n) == pytest.approx(
+        assert sampled_potential(f, ident, 1)(n) == pytest.approx(
             sawtooth_value(DYADIC, 5, n).value, abs=1e-15
         )
 
@@ -126,20 +125,16 @@ def test_sample_shift_identities():
     f = sawtooth_potential(DYADIC, 5).sampling
     omega = ProcyclicElement.from_int(DYADIC, 5, 7)
     one = ProcyclicElement.from_int(DYADIC, 5, 1)
-    tol = 1e-3
-    moved, pot = sampled_potential(f, omega + one, 1, tol), sampled_potential(f, omega, 1, tol)
+    moved, pot = sampled_potential(f, omega + one, 1), sampled_potential(f, omega, 1)
     for n in range(-10, 10):
         # moving the base point one orbit step is the same as shifting the index
         assert moved(n) == pot(n + 1)
 
 
-def test_sample_requires_certifiable_tolerance():
+def test_sample_requires_a_base_point_as_deep_as_the_tower():
     f = sawtooth_potential(DYADIC, 4).sampling
-    ident = ProcyclicElement.identity(DYADIC, 4)
-    with pytest.raises(ValueError):
-        sampled_potential(f, ident, 1, f.residual_bound / 2)(0)
-    with pytest.raises(ValueError):
-        sampled_potential(f, ProcyclicElement.identity(DYADIC, 2), 1, 1.0)(0)
+    with pytest.raises(ValueError, match="base point level 2 below tower depth 4"):
+        sampled_potential(f, ProcyclicElement.identity(DYADIC, 2), 1)
 
 
 def test_periodize_coset_average_exact():
@@ -173,7 +168,7 @@ def test_periodize_contracts_sup():
     f = SamplingFunction(chain, layers)
     g = periodize(f, 1)
     ident = ProcyclicElement.identity(chain, 3)
-    on_f, on_g = sampled_potential(f, ident, 1, 1e-9), sampled_potential(g, ident, 1, 1e-9)
+    on_f, on_g = sampled_potential(f, ident, 1), sampled_potential(g, ident, 1)
     sup_f = max(abs(on_f(n)) for n in range(-64, 64))
     assert g.tail_bound(0) <= f.tail_bound(0) + 1e-12
     assert max(abs(on_g(n)) for n in range(-64, 64)) <= sup_f + 1e-12
@@ -188,7 +183,7 @@ def test_periodize_orbit_periodicity_generator_independent():
     ident = ProcyclicElement.identity(chain, 2)
 
     def is_two_periodic(fn, k):
-        pot = sampled_potential(fn, ident, k, 1e-9)
+        pot = sampled_potential(fn, ident, k)
         return all(pot(n + 2) == pot(n) for n in range(-8, 8))
 
     # verdicts agree between the two generators, before and after periodizing
@@ -251,8 +246,7 @@ def test_potential_level_structure():
 def test_sampled_potential_matches_the_closed_form():
     f = sawtooth_potential(DYADIC, 4).sampling
     omega = ProcyclicElement.from_int(DYADIC, 4, 5)
-    tol = 2 * f.residual_bound
-    pot = sampled_potential(f, omega, 3, tol=tol)
+    pot = sampled_potential(f, omega, 3)
     for n in range(-10, 10):
         assert pot(n) == sawtooth_value(DYADIC, 4, 5 + 3 * n).value
 
@@ -281,7 +275,7 @@ def test_tower_kinds_agree_with_closed_forms(chain, depth, base, generator, n):
     met = metric_potential(chain, depth, base, generator)
     f = sawtooth_potential(chain, depth).sampling
     omega = ProcyclicElement.from_int(chain, depth, base)
-    stored = sampled_potential(f, omega, generator, 2 * f.residual_bound)
+    stored = sampled_potential(f, omega, generator)
     k = base + n * generator
     assert remark(n).hex() == sawtooth_value(chain, depth, k).value.hex()
     assert met(n).hex() == float(metric_value(chain, depth, k)[0]).hex()
@@ -307,7 +301,7 @@ def _layers_summing_past_float_max():
     chain = chain_make([1, 2])
     layers = (PeriodicLayer(1, (1e308,)), PeriodicLayer(2, (1e308, 0.0)))
     omega = ProcyclicElement.from_int(chain, 2, 0)
-    return sampled_potential(SamplingFunction(chain, layers), omega, 1, 1e-9)
+    return sampled_potential(SamplingFunction(chain, layers), omega, 1)
 
 
 @pytest.mark.parametrize(
@@ -336,7 +330,7 @@ def _any_potential(kind, chain, depth, base, generator, values, seed):
         return metric_potential(chain, depth, base, generator)
     if kind == "layers":
         omega = ProcyclicElement.from_int(chain, depth, base)
-        return sampled_potential(sawtooth_potential(chain, depth).sampling, omega, generator, 1.0)
+        return sampled_potential(sawtooth_potential(chain, depth).sampling, omega, generator)
     if kind == "periodic":
         return periodic_potential(values)
     return iid_uniform_potential(seed, -0.5, 2.0)
@@ -475,13 +469,45 @@ def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():
 
 def test_potential_is_a_stored_period_and_seeded_noise_its_subclass():
     fields = [f.name for f in dataclasses.fields(Potential)]
-    assert fields == ["kind", "tol", "base", "generator", "sampling", "tails", "values"]
+    assert fields == ["kind", "base", "generator", "sampling", "tails", "values"]
     pot = iid_uniform_potential(7, -1.0, 2.0)
     assert isinstance(pot, NoisePotential) and isinstance(pot, Potential)
     assert (pot.kind, pot.seed, pot.low, pot.high) == ("iid", 7, -1.0, 2.0)
     assert (pot.period, pot.chain, pot.depth, pot.base, pot.generator) == (None, None, None, 0, 1)
     with pytest.raises(ValueError, match="potential kind 'iid' has no layer structure"):
         pot.level_values(1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tol_is_the_deepest_tail_and_zero_without_tails(kind):
+    chains = (DYADIC, chain_make([2], [3]), chain_make([2, 6], [2, 3, 5]), chain_make([3], [2]))
+    for chain in chains:
+        for depth in range(1, 7):
+            pot = _any_potential(kind, chain, depth, 5, 3, [0.25, -1.5], 11)
+            assert pot.tol == (pot.tails[-1] if pot.tails else 0.0)
+            assert (pot.tails != ()) == (kind in ("remark", "metric", "layers"))
+    if kind != "layers":
+        return
+    ident = ProcyclicElement.identity(DYADIC, 1)
+    honest = SamplingFunction(DYADIC, (PeriodicLayer(2, (0.0, 1.0)),), 1e-6)
+    assert sampled_potential(honest, ident, 1).tol == 1e-6
+    # a tower of no layers has no tails, and V = 0 is still only certified to its residual
+    bare = sampled_potential(SamplingFunction(DYADIC, (), 0.25), ident, 1)
+    assert (bare.tails, bare.values, bare.tol) == ((), (0.0,), 0.25)
+
+
+def test_noise_draws_never_seed_from_the_os(monkeypatch):
+    seeds = []
+    reseed = random.Random.seed
+
+    def recording(self, a=None, version=2):
+        seeds.append(a)
+        reseed(self, a, version)
+
+    monkeypatch.setattr(random.Random, "seed", recording)
+    pot = iid_uniform_potential(3)
+    assert _bits(read_window(pot, -2, 3)) == _bits(map(pot, range(-2, 3)))
+    assert None not in seeds and len(seeds) == 10
 
 
 def test_metric_tower_along_a_non_minimal_translation_alternates_at_every_level():
