@@ -5,7 +5,6 @@ from .frequency import (
     FrequencyChain,
     HullComparison,
     bohr_coefficient,
-    chain_limit,
     chain_make,
     hulls_isomorphic,
     maximal_chain,
@@ -21,7 +20,6 @@ from .procyclic import (
     orbit_residues,
     quotient,
     restrict_to_subchain,
-    subgroup_membership,
 )
 from .potential import (
     GordonReport,

@@ -125,10 +125,6 @@ def chain_make(prefix: Iterable[int], rule: Iterable[int] = ()) -> FrequencyChai
     return FrequencyChain(tuple(prefix), tuple(rule))
 
 
-def chain_limit(chain: FrequencyChain) -> Supernatural:
-    return chain.limit()
-
-
 def _sorted_prime_steps(q: int) -> list[int]:
     """Prime factors of q with multiplicity, nondecreasing."""
     steps: list[int] = []
@@ -250,7 +246,7 @@ def hulls_isomorphic(a: FrequencyChain, b: FrequencyChain) -> HullComparison:
 
 
 def bohr_coefficient(d: Callable[[int], float], q: int, window: int) -> complex:
-    """Symmetric Birkhoff average ``(1/2N) sum_{k=-N..N} d(k) exp(-2 pi i k / q)``.
+    """Symmetric Birkhoff average ``(1/(2N + 1)) sum_{k=-N..N} d(k) exp(-2 pi i k / q)``.
 
     A nonvanishing limit at q certifies that 2*pi/q belongs to the frequency
     module of d.  No tapering is applied; the finite-window value differs from
@@ -265,4 +261,4 @@ def bohr_coefficient(d: Callable[[int], float], q: int, window: int) -> complex:
     total = 0 + 0j
     for k in range(-window, window + 1):
         total += d(k) * phases[k % q]
-    return total / (2 * window)
+    return total / (2 * window + 1)

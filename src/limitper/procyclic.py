@@ -141,21 +141,6 @@ def orbit_residues(chain: FrequencyChain, k: int, level: int, steps: int) -> lis
     return [(m * k) % n for m in range(steps)]
 
 
-def subgroup_membership(chain: FrequencyChain, k: int, x: ProcyclicElement) -> bool:
-    """Membership in the index-``n_k`` subgroup (closure of the multiples of ``n_k``).
-
-    The subgroup is exactly the elements whose level-k residue vanishes;
-    compatibility then forces all lower residues to vanish too.
-    """
-    if x.chain != chain:
-        raise ValueError("element lives over a different chain")
-    if k < 1:
-        raise ValueError("subgroup index level must be >= 1")
-    if x.level < k:
-        raise ValueError(f"element level {x.level} does not reach subgroup level {k}")
-    return x.residues[k - 1] == 0
-
-
 @dataclass(frozen=True)
 class QuotientMap:
     """Reduction onto a procyclic quotient, aligned level by level.

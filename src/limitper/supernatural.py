@@ -233,12 +233,3 @@ class Supernatural:
 
     def is_finite(self) -> bool:
         return all(e != INF for _, e in self.pairs)
-
-    def as_int(self) -> int:
-        """Materialize a finite supernatural as an ordinary integer."""
-        if not self.is_finite():
-            raise ValueError(f"{self} has an infinite exponent")
-        n = 1
-        for p, e in self.pairs:
-            n *= p ** int(e)
-        return n

@@ -81,6 +81,24 @@ def exact_transfer(values, E, count, start=0):
     return (m11, m12, m21, m22)
 
 
+def exact_delta(vals, E) -> Fraction:
+    """Trace of the one-period transfer matrix at the float E, exactly.
+
+    Floats are dyadic, so with D the largest denominator among the period and
+    E (a power of two that every other one divides), the product of the
+    integer matrices ``[[D (E - v), -D], [D, 0]]`` is D**p times the
+    one-period product, and its trace over D**p is Delta(E) as a Fraction.
+    """
+    *ws, x = (Fraction(v) for v in (*vals, E))
+    D = max(r.denominator for r in (*ws, x))
+    x = x.numerator * (D // x.denominator)
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    for w in ws:
+        a = x - w.numerator * (D // w.denominator)
+        m11, m12, m21, m22 = a * m11 - D * m21, a * m12 - D * m22, D * m11, D * m12
+    return Fraction(m11 + m22, D ** len(ws))
+
+
 def transfer_log_size(values, E, count, start=0) -> float:
     """log of the largest |entry| of ``exact_transfer``'s product, from 40-digit decimals.
 

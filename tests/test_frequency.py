@@ -10,7 +10,6 @@ from limitper import (
     FrequencyChain,
     Supernatural,
     bohr_coefficient,
-    chain_limit,
     chain_make,
     hulls_isomorphic,
     factorize,
@@ -58,9 +57,9 @@ def _exponent_in(n, p):
 
 
 def test_chain_limit_examples():
-    assert chain_limit(chain_make([2], [2])) == Supernatural.from_factors({2: INF})
-    assert chain_limit(chain_make([6], [2])) == Supernatural.from_factors({2: INF, 3: 1})
-    assert chain_limit(chain_make([2, 4])) == Supernatural.from_factors({2: 2})
+    assert chain_make([2], [2]).limit() == Supernatural.from_factors({2: INF})
+    assert chain_make([6], [2]).limit() == Supernatural.from_factors({2: INF, 3: 1})
+    assert chain_make([2, 4]).limit() == Supernatural.from_factors({2: 2})
 
 
 @settings(deadline=None)
@@ -69,7 +68,7 @@ def test_chain_limit_is_exponent_sup(seed):
     # Oracle: exponents of materialized deep entries match the limit exactly for
     # finite exponents and keep growing past any bound for the infinite ones.
     chain = random_chain(random.Random(seed))
-    limit = chain_limit(chain)
+    limit = chain.limit()
     deep = chain.nth_term(40)
     shallow = chain.nth_term(len(chain.prefix))
     for p, e in limit.pairs:
@@ -206,7 +205,7 @@ def test_maximal_chain_depth_materializes():
 def test_maximal_chain_preserves_limit_and_hull(seed):
     chain = random_chain(random.Random(seed))
     refined = maximal_chain(chain)
-    assert chain_limit(refined) == chain_limit(chain)
+    assert refined.limit() == chain.limit()
     assert hulls_isomorphic(chain, refined).isomorphic
 
 
@@ -237,9 +236,8 @@ def test_classification_agrees_with_divisibility_search(seed_a, seed_b):
 def test_bohr_constant_potential():
     c = 0.75
     out = bohr_coefficient(lambda k: c, 1, 500)
-    # symmetric window has 2N + 1 samples over weight 2N
-    assert abs(out - c * (2 * 500 + 1) / (2 * 500)) < 1e-12
-    assert abs(out - c) < c / 500
+    # 2N + 1 samples of c averaged over 2N + 1: the mean itself, up to rounding
+    assert abs(out - c) < 1e-12
 
 
 def test_bohr_cosine_line():
@@ -266,8 +264,9 @@ def test_bohr_exact_dft_on_periodic_approximant():
     N = period * 250
     for q in (2, 4, 8, 16):
         dft = sum(table[t] * cmath.exp(-2j * math.pi * t / q) for t in range(period)) / period
-        # the symmetric window adds the single sample at k = N (phase 1 since q | N)
-        expect = dft + d(0) / (2 * N)
+        # the 2N window samples -N..N-1 are whole periods with mean dft; the
+        # sample at k = N (phase 1 since q | N) is d(0)
+        expect = (2 * N * dft + d(0)) / (2 * N + 1)
         got = bohr_coefficient(d, q, N)
         assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 

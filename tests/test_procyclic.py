@@ -14,7 +14,6 @@ from limitper import (
     orbit_residues,
     quotient,
     restrict_to_subchain,
-    subgroup_membership,
 )
 
 from helpers import random_chain
@@ -133,16 +132,6 @@ def test_orbit_coverage_counts(seed, k):
     n = chain.nth_term(5)
     covered = set(orbit_residues(chain, k, 5, n))
     assert len(covered) == n // math.gcd(k, n)
-
-
-def test_subgroup_membership():
-    chain = chain_make([2, 4, 8])
-    for k in (1, 2, 3):
-        assert subgroup_membership(chain, k, ProcyclicElement.identity(chain, 3))
-    assert subgroup_membership(chain, 2, ProcyclicElement.from_int(chain, 3, 4))
-    assert not subgroup_membership(chain, 2, ProcyclicElement.from_int(chain, 3, 2))
-    with pytest.raises(ValueError):
-        subgroup_membership(chain, 4, ProcyclicElement.identity(chain, 3))
 
 
 def test_quotient_identity_map():

@@ -32,7 +32,7 @@ from limitper import spectral
 from limitper.potential import PeriodicWindow, read_window
 from limitper.spectral import _bisect, _dirichlet_fences, eigenvalue_counts
 
-from helpers import exact_transfer, traced_peak_mib, transfer_det, transfer_log_size
+from helpers import exact_delta, exact_transfer, traced_peak_mib, transfer_det, transfer_log_size
 
 ZERO = lambda n: 0.0
 
@@ -354,7 +354,8 @@ def test_dirichlet_fences_fall_back_to_counts_when_end_counts_do_not_straddle(mo
 
 def test_bands_golden_digest():
     # sha256 of every band edge's hex at levels 6-8 of the sawtooth tower read
-    # from base 37, recorded before the fences were located by secant search.
+    # from base 37, recorded once the gap edges came from the quadratic model
+    # at each fence and the exact edge gate and the numpy oracle had passed.
     pot = sawtooth_potential(chain_make([2], [2]), 8, base=37)
     edges = " ".join(
         edge.hex()
@@ -363,7 +364,74 @@ def test_bands_golden_digest():
         for edge in interval
     )
     digest = hashlib.sha256(edges.encode()).hexdigest()
-    assert digest == "a4717a4e0f6da2df85433f95ca58127b5b4531399f6a14e957c55c5af1444c48"
+    assert digest == "5a387c4a9ac15d42d81b03fe6aad6b38a4d51e35642a498834a40b8dac3d5a23"
+
+
+def _assert_edges_are_exact_sign_changes(vals, band_set, tol):
+    # |Delta| - 2 in exact arithmetic: above 0 just outside each band, below 0 just inside
+    g = lambda e: abs(exact_delta(vals, e)) - 2
+    for lo, hi in band_set.intervals:
+        assert g(lo - tol) > 0 > g(lo + tol), (lo, hi)
+        assert g(hi - tol) < 0 < g(hi + tol), (lo, hi)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(-32, 32).map(lambda k: k / 16), min_size=1, max_size=32))
+def test_bands_edges_are_exact_sign_changes_on_dyadic_periods(vals):
+    out = bands(vals, 1e-9)
+    # A gap below 1e-6 may be a closed one that rounding opened, and a band
+    # below 2 tol puts both probes of an edge outside it: the gate judges neither.
+    edges = [e for interval in out.intervals for e in interval]
+    assume(all(b - a > 1e-6 for a, b in zip(edges, edges[1:])))
+    _assert_edges_are_exact_sign_changes(vals, out, 1e-9)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_bands_edges_are_exact_sign_changes_on_the_sawtooth(level):
+    vals = sawtooth_potential(chain_make([2], [2]), 8).level_values(level)
+    out = bands(vals, 1e-9)
+    assert len(out.intervals) == len(vals)
+    _assert_edges_are_exact_sign_changes(vals, out, 1e-9)
+
+
+def test_bands_bisect_the_wide_central_gap_where_the_model_fails(monkeypatch):
+    vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(6))
+    model = spectral._gap_edges
+    failed = []
+
+    def recorded(vals, lo, mu, hi, tol):
+        edges = model(vals, lo, mu, hi, tol)
+        if edges is None:
+            failed.append(mu)
+        return edges
+
+    monkeypatch.setattr(spectral, "_gap_edges", recorded)
+    out = bands(vals, 1e-9)
+    assert _dirichlet_fences(vals)[32] in failed
+    np = pytest.importorskip("numpy")
+    assert hausdorff_dist(out, _numpy_bands(np, vals)) <= 10 * 1e-9
+
+
+def test_bands_need_at_most_10_discriminants_per_band(monkeypatch):
+    # Bisecting every edge took about 47; the model's own passes are not discriminant calls.
+    vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
+    calls = _count_calls(monkeypatch, spectral, ("discriminant",))
+    assert len(bands(vals, 1e-9).intervals) == len(vals)
+    assert calls["discriminant"] <= 10 * len(vals)
+
+
+def test_bands_bisect_a_model_edge_that_lies_past_the_band_seed():
+    # At tol = 0.1 gap 2's model edge passes its checks 0.017 inside band 2,
+    # left of the point that bisection finds in the band, so the band's right
+    # edge is bisected from that point instead.
+    vals = (-3.2561450251658277, 3.531808276940911, 3.098270763226868, 0.6957544559848383)
+    fences = _dirichlet_fences(vals)
+    model_edge, _ = spectral._gap_edges(vals, *fences[1:4], 0.1)
+    out = bands(vals, 0.1)
+    assert len(out.intervals) == 4
+    assert out.intervals[1][1] > model_edge + 0.02
+    np = pytest.importorskip("numpy")
+    assert hausdorff_dist(out, _numpy_bands(np, vals)) <= 0.1
 
 
 def test_bands_free_potential():

@@ -55,10 +55,10 @@ def test_lcm_gcd_examples():
 def test_equality_is_the_isomorphism_invariant():
     assert S({2: INF}) == S({2: INF})
     assert S({2: INF}) != S({2: INF, 3: 1})
-    from limitper import chain_limit, chain_make
+    from limitper import chain_make
 
     # chains 2,4,8,... and 4,16,64,... present the same hull
-    assert chain_limit(chain_make([2], [2])) == chain_limit(chain_make([4], [4]))
+    assert chain_make([2], [2]).limit() == chain_make([4], [4]).limit()
 
 
 def test_inf_is_not_an_integer_exponent():
@@ -66,8 +66,6 @@ def test_inf_is_not_an_integer_exponent():
     assert n.exponent(2) == INF
     assert not isinstance(n.exponent(2), int)
     assert not n.is_finite()
-    with pytest.raises(ValueError):
-        n.as_int()
 
 
 def test_validation_rejects_bad_factors():
@@ -108,8 +106,8 @@ def test_gcd_lcm_lattice(a, b):
 @given(st.integers(1, 10**6), st.integers(1, 10**6))
 def test_finite_agreement_with_integer_arithmetic(x, y):
     a, b = Supernatural.from_int(x), Supernatural.from_int(y)
-    assert a.lcm(b).as_int() == math.lcm(x, y)
-    assert a.gcd(b).as_int() == math.gcd(x, y)
+    assert a.lcm(b) == Supernatural.from_int(math.lcm(x, y))
+    assert a.gcd(b) == Supernatural.from_int(math.gcd(x, y))
     assert a.divides(b) == (y % x == 0)
 
 
