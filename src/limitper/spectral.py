@@ -19,10 +19,11 @@ index, and the bisection is replayed against that float.  This relies on the
 count being monotone in E, which a zero pivot nudged to -5e-324 keeps, so
 only fences where it need not be (for ||V|| near the float range) are
 bisected on counts.  The two edges of a gap come from a quadratic model of
-Delta at its fence, polished by Newton steps and each checked to lie within
-tol/2 of where ``|Delta| <= 2`` changes; the outer edges, and a gap whose
-check fails, are bisected on Delta.  Both evaluate Delta by its recurrence,
-which stays stable where explicit polynomial coefficients would not.  The
+Delta at its fence, each checked to lie within tol/2 of where ``|Delta| <= 2``
+changes and polished by Newton steps only if that check fails; the outer
+edges, and a gap whose check still fails, are bisected on Delta.  Both
+evaluate Delta by its recurrence, which stays stable where explicit
+polynomial coefficients would not.  The
 integrated density of states uses the symmetric tridiagonal inertia count,
 O(N) per energy with integer-valued counts; sites with no stored period are
 read once, in chunks, each chunk advancing every energy's count.  On a
@@ -437,10 +438,11 @@ def _gap_edges(
 
     ``lo`` and ``hi`` are the fences either side of mu.  Delta's Taylor
     quadratic at mu, set equal to 2 s with s the sign of Delta(mu), gives one
-    root each side of mu, and two Newton steps on Delta polish each.  The pair
-    is kept only if ``lo + tol/2 < l <= mu <= r < hi - tol/2`` and the float
-    test ``|Delta| <= 2`` holds at ``l - tol/2`` and ``r + tol/2`` and fails at
-    ``l + tol/2`` and ``r - tol/2``: then each edge lies within tol/2 of a
+    root each side of mu.  A root e passes if ``lo + tol/2 < e < hi - tol/2``
+    and the float test ``|Delta| <= 2`` holds tol/2 into the band beside it
+    and fails tol/2 into the gap.  Only a root that fails is polished, by up
+    to three Newton steps on Delta, each checked again.  The pair is kept if
+    both pass and ``l <= mu <= r``: then each edge lies within tol/2 of a
     change of the test, in the band beside it, as bisection would leave it.
     A wide gap, where the quadratic is a poor model, fails these checks.
     """
@@ -456,23 +458,25 @@ def _gap_edges(
     q = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
     if q == 0.0:
         return None
+    half = 0.5 * tol
+    inside = lambda e: abs(discriminant(vals, e)) <= 2.0
+    passes = lambda e, into: lo + half < e < hi - half and inside(e + into) and not inside(e - into)
     edges = []
-    for h in sorted((q / a, c / q)):
+    for h, into in zip(sorted((q / a, c / q)), (-half, half)):  # into the edge's band
         e = mu + h
-        for _ in range(2):
+        for _ in range(3):  # a NaN or infinite e fails the range, then _taylor1
+            if passes(e, into):
+                break
             step = _taylor1(vals, e)
             if step is None or step[1] == 0.0:
                 return None
             e -= (step[0] - target) / step[1]
+        else:
+            if not passes(e, into):
+                return None
         edges.append(e)
     l, r = edges
-    half = 0.5 * tol
-    if not (lo + half < l <= mu <= r < hi - half):  # also refuses an infinite or NaN edge
-        return None
-    inside = lambda e: abs(discriminant(vals, e)) <= 2.0
-    if inside(l - half) and not inside(l + half) and not inside(r - half) and inside(r + half):
-        return l, r
-    return None
+    return (l, r) if l <= mu <= r else None
 
 
 def bands(v_period: Sequence[float], tol: float = 1e-9) -> BandSet:
@@ -487,26 +491,26 @@ def bands(v_period: Sequence[float], tol: float = 1e-9) -> BandSet:
     fence off by ``tol`` could sit inside a neighbouring band.
 
     The two edges of gap j come from a quadratic model of Delta at mu_j
-    (``_gap_edges``): one pass carrying Delta, Delta' and Delta'', four
-    first-order Newton passes and four discriminants that check each edge
-    lies within tol/2 of where the float test ``|Delta| <= 2`` changes.  Where
-    that check fails (a wide gap), and at the two outer edges, the band's
-    edges are bisected as follows.  Right of band j Delta has the sign
-    ``(-1)**(p - j)``, left of it the opposite sign, so bisection on that sign
-    finds a point inside the band, and bisection on |Delta| <= 2 from that
-    point out to each fence finds its edges to width ``tol``.  A model edge on
-    the wrong side of that point, which its check allows when ``tol`` is
-    coarse or the band narrow, is bisected too.  At p = 256 on the sawtooth
-    tower this makes about 5 discriminant calls per band besides the model's
-    passes and takes about 0.20 s, against about 47 calls and 0.46 s with
-    every edge bisected (2-core x86_64, Python 3.11).
+    (``_gap_edges``), each polished by Newton steps only if it fails a check
+    that it lies within tol/2 of where the float test ``|Delta| <= 2``
+    changes.  Where the check still fails (a wide gap), and at the two outer
+    edges, the band's edges are bisected as follows.  Right of band j Delta has
+    the sign ``(-1)**(p - j)``, left of it the opposite sign, so bisection on
+    that sign finds a point inside the band, and bisection on |Delta| <= 2
+    from that point out to each fence finds its edges to width ``tol``.  A
+    model edge on the wrong side of that point, which its check allows when
+    ``tol`` is coarse or the band narrow, is bisected too.  At p = 256 on the
+    sawtooth tower this takes about 0.10 s, with 5.5 discriminants and 0.4
+    first-order passes per band besides the model's pass (0.14 s polishing
+    every model edge first, 47 discriminants bisecting every edge; 2-core
+    x86_64).
 
     Every band is found; bands separated by less than ``tol`` (a closed gap)
     merge into one interval.  The period is converted to a tuple of floats
     once, here, and must be nonempty and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # also refuses NaN
+        raise ValueError("tol must be positive and finite")
     vals = tuple(map(float, v_period))
     if not vals:
         raise ValueError("period values must be nonempty")

@@ -354,8 +354,9 @@ def test_dirichlet_fences_fall_back_to_counts_when_end_counts_do_not_straddle(mo
 
 def test_bands_golden_digest():
     # sha256 of every band edge's hex at levels 6-8 of the sawtooth tower read
-    # from base 37, recorded once the gap edges came from the quadratic model
-    # at each fence and the exact edge gate and the numpy oracle had passed.
+    # from base 37, recorded once each gap edge was polished only where its
+    # check failed and the exact edge gate (levels 3-7) and the numpy oracle
+    # had passed.
     pot = sawtooth_potential(chain_make([2], [2]), 8, base=37)
     edges = " ".join(
         edge.hex()
@@ -364,7 +365,7 @@ def test_bands_golden_digest():
         for edge in interval
     )
     digest = hashlib.sha256(edges.encode()).hexdigest()
-    assert digest == "5a387c4a9ac15d42d81b03fe6aad6b38a4d51e35642a498834a40b8dac3d5a23"
+    assert digest == "611fad8273cd8ffeb9161e076d6d2a0f58f6d712291e7f4b4c8b7489dbd71fc4"
 
 
 def _assert_edges_are_exact_sign_changes(vals, band_set, tol):
@@ -386,8 +387,9 @@ def test_bands_edges_are_exact_sign_changes_on_dyadic_periods(vals):
     _assert_edges_are_exact_sign_changes(vals, out, 1e-9)
 
 
-@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
 def test_bands_edges_are_exact_sign_changes_on_the_sawtooth(level):
+    # At levels 6 and 7 most edges are model roots that passed their check unpolished.
     vals = sawtooth_potential(chain_make([2], [2]), 8).level_values(level)
     out = bands(vals, 1e-9)
     assert len(out.intervals) == len(vals)
@@ -418,6 +420,55 @@ def test_bands_need_at_most_10_discriminants_per_band(monkeypatch):
     calls = _count_calls(monkeypatch, spectral, ("discriminant",))
     assert len(bands(vals, 1e-9).intervals) == len(vals)
     assert calls["discriminant"] <= 10 * len(vals)
+
+
+def test_bands_polish_only_edges_that_fail_their_check(monkeypatch):
+    # Two Newton passes on both edges of every gap made about 4 per band.
+    vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
+    calls = _count_calls(monkeypatch, spectral, ("_taylor1",))
+    assert len(bands(vals, 1e-9).intervals) == len(vals)
+    assert calls["_taylor1"] <= len(vals)
+
+
+def _gap_of_the_sawtooth(level, j):
+    vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(level))
+    return vals, _dirichlet_fences(vals)[j - 1 : j + 2]
+
+
+def _is_gap_edge_pair(vals, l, r, half):
+    # |Delta| - 2 in exact arithmetic changes sign within half of each edge
+    g = lambda e: abs(exact_delta(vals, e)) - 2
+    return g(l - half) < 0 < g(l + half) and g(r - half) > 0 > g(r + half)
+
+
+def test_gap_edges_keep_raw_model_roots_that_pass_their_check(monkeypatch):
+    # Gap 7 at level 5 is 5.7e-5 wide, and both quadratic roots pass as they are.
+    vals, (lo, mu, hi) = _gap_of_the_sawtooth(5, 7)
+
+    def refused(vals, E):
+        raise AssertionError("an edge that passed its check was polished")
+
+    monkeypatch.setattr(spectral, "_taylor1", refused)
+    l, r = spectral._gap_edges(vals, lo, mu, hi, 1e-9)
+    assert lo < l <= mu <= r < hi
+    assert _is_gap_edge_pair(vals, l, r, 0.5e-9)
+
+
+def test_gap_edges_polish_a_raw_model_root_that_fails_its_check(monkeypatch):
+    # Gap 5 at level 5: one quadratic root misses its check, and one Newton step fixes it.
+    vals, (lo, mu, hi) = _gap_of_the_sawtooth(5, 5)
+    taylor1, polished = spectral._taylor1, []
+
+    def recorded(vals, E):
+        polished.append(E)
+        return taylor1(vals, E)
+
+    monkeypatch.setattr(spectral, "_taylor1", recorded)
+    l, r = spectral._gap_edges(vals, lo, mu, hi, 1e-9)
+    assert len(polished) == 1 and polished[0] not in (l, r)
+    raw = polished[0]
+    assert not _is_gap_edge_pair(vals, *((raw, r) if raw < mu else (l, raw)), 0.5e-9)
+    assert _is_gap_edge_pair(vals, l, r, 0.5e-9)
 
 
 def test_bands_bisect_a_model_edge_that_lies_past_the_band_seed():
@@ -468,6 +519,16 @@ def test_bands_containment_and_count():
         assert out.intervals[-1][1] <= 2 + sup + 1e-7
     with pytest.raises(ValueError):
         bands([0.0], tol=0.0)
+
+
+def test_bands_and_spectrum_approx_refuse_a_nan_or_infinite_tol():
+    # NaN passed ``tol <= 0`` and gave three wrong intervals; inf merged every band.
+    pot = sawtooth_potential(chain_make([2], [2]), 4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            bands([0.0, 1.0, 0.5], bad)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            spectrum_approx(pot, 2, bad)
 
 
 def test_bands_and_discriminant_refuse_an_empty_or_non_finite_period():
