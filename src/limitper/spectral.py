@@ -15,22 +15,22 @@ found together by multisection on the Sturm count: fences still sharing a
 bracket share each count.  A fence alone in its bracket ends where bisection
 on the count would end, found without bisecting: a safeguarded secant on the
 Dirichlet determinant locates the float where the count reaches the fence's
-index, and the bisection is replayed against that float.  This relies on the
-count being monotone in E, which a zero pivot nudged to -5e-324 keeps, so
-only fences where it need not be (for ||V|| near the float range) are
-bisected on counts.  The two edges of a gap come from a quadratic model of
-Delta at its fence, each checked to lie within tol/2 of where ``|Delta| <= 2``
-changes and polished by Newton steps only if that check fails; the outer
-edges, and a gap whose check still fails, are bisected on Delta.  Both
-evaluate Delta by its recurrence, which stays stable where explicit
-polynomial coefficients would not.  The
-integrated density of states uses the symmetric tridiagonal inertia count,
-O(N) per energy with integer-valued counts; sites with no stored period are
-read once, in chunks, each chunk advancing every energy's count.  On a
-window that holds its period (``PeriodicWindow``) the same count comes in
-O(p) per energy from the Floquet closed form, certified against the rounding
-of both computations, and the O(N) count runs only where the certificate
-fails.
+index, and the bisection is replayed against that float.  Between ends that
+count k - 1 and k, the determinant's sign alone tells the count at a guess.
+This relies on the count being monotone in E, which a zero pivot nudged to
+-5e-324 keeps, so only fences where it need not be (for ||V|| near the float
+range) are bisected on counts.  The two edges of a gap come from a quadratic
+model of Delta at its fence, each checked to lie within tol/2 of where
+``|Delta| <= 2`` changes and polished by Newton steps only if that check
+fails; the outer edges, and a gap whose check still fails, are bisected on
+Delta.  Both evaluate Delta by its recurrence, which stays stable where
+explicit polynomial coefficients would not.  The integrated density of
+states uses the symmetric tridiagonal inertia count, O(N) per energy with
+integer-valued counts; sites with no stored period are read once, in chunks,
+each chunk advancing every energy's count.  On a window that holds its
+period (``PeriodicWindow``) the same count comes in O(p) per energy from the
+Floquet closed form, certified against the rounding of both computations,
+and the O(N) count runs only where the certificate fails.
 """
 
 import math
@@ -164,7 +164,8 @@ def discriminant(vals: Sequence[float], E: float) -> float:
         phi, phi_prev = a * phi - phi_prev, phi
         theta, theta_prev = a * theta - theta_prev, theta
     # NaN fails every comparison, so this also catches an overflowed product.
-    if all(abs(m) <= _RESCALE for m in (phi, phi_prev, theta, theta_prev)):
+    R = _RESCALE
+    if -R <= phi <= R and -R <= phi_prev <= R and -R <= theta <= R and -R <= theta_prev <= R:
         return phi + theta_prev
     state = transfer_product(vals.__getitem__, E, 0, len(vals))
     trace = state.m11 + state.m22
@@ -285,20 +286,50 @@ def _sturm_det(values: Sequence[float], E: float) -> tuple[int, float]:
     return count, det
 
 
+def _pivot_product(values: Sequence[float], E: float) -> float:
+    """``_sturm_det(values, E)[1]`` with no count, where no pivot is exactly zero.
+
+    The same pivots multiplied in the same order, so the product is bitwise
+    ``_sturm_det``'s.  A zero pivot before the last raises ZeroDivisionError,
+    and a last one makes the product 0.
+    """
+    det = 1.0
+    d = math.inf
+    for v in values:
+        d = (v - E) - 1.0 / d
+        det *= d
+    return det
+
+
 def _flip_point(
-    dirichlet: Sequence[float], k: int, a: float, fa: float, b: float, fb: float
+    dirichlet: Sequence[float],
+    k: int,
+    left: tuple[float, int, float],
+    right: tuple[float, int, float],
 ) -> float:
     """Least float of ``(a, b]`` with at least k eigenvalues of ``dirichlet`` at or below it.
 
-    Needs counts below k at a and at least k at b, with determinants fa and fb.
-    The count at each guess decides which end it replaces; the determinants
-    only propose the guess, by a secant step with the Illinois halving of an
-    end kept twice.  A guess that lands on an end (its determinant is tiny
+    ``left`` and ``right`` are ``(E, count, det)`` at the ends a and b, with
+    the count below k at a and at least k at b.  The count at each guess
+    decides which end it replaces; the determinants only propose the guess,
+    by a secant step with the Anderson-Bjorck scaling of an end kept twice
+    (BIT 13, 1973).  A guess that lands on an end (its determinant is tiny
     beside the other) moves to that end's neighbouring float.  The guess is
     the midpoint when a determinant is zero or not finite, and after three
     guesses in a row have failed to halve the bracket.  The search ends at
     adjacent floats.
+
+    Where the end counts are exactly k - 1 and k, the count being monotone
+    puts every count inside at k - 1 or k, and the sign of the determinant,
+    ``(-1)**count``, tells which: a guess takes ``_pivot_product`` alone.  A
+    zero pivot, or a product that is 0, infinite or NaN, takes the count from
+    ``_sturm_det`` instead, at that guess and every later one, since a
+    product past the float range stays past it nearby.
     """
+    a, ca, fa = left
+    b, cb, fb = right
+    by_sign = ca == k - 1 and cb == k
+    odd = k % 2 == 1  # a determinant below 0 has an odd count
     kept = 0  # 1 when b moved last, -1 when a did
     stalled = 0  # guesses since the bracket last halved
     halved_at = b - a
@@ -313,16 +344,29 @@ def _flip_point(
                 x = math.nextafter(b, a)
             elif x <= a:
                 x = math.nextafter(a, b)
-        c, f = _sturm_det(dirichlet, x)
-        if c >= k:
-            b, fb = x, f
+        f = math.nan
+        if by_sign:
+            try:
+                f = _pivot_product(dirichlet, x)
+            except ZeroDivisionError:
+                pass
+        if 0.0 < abs(f) < math.inf:
+            at_least_k = (f < 0.0) == odd
+        else:
+            by_sign = False
+            c, f = _sturm_det(dirichlet, x)
+            at_least_k = c >= k
+        if at_least_k:
             if kept == 1:
-                fa /= 2.0
+                scale = 1.0 - f / fb if fb else 0.0
+                fa *= scale if scale > 0.0 else 0.5
+            b, fb = x, f
             kept = 1
         else:
-            a, fa = x, f
             if kept == -1:
-                fb /= 2.0
+                scale = 1.0 - f / fa if fa else 0.0
+                fb *= scale if scale > 0.0 else 0.5
+            a, fa = x, f
             kept = -1
         if b - a <= halved_at / 2.0:
             halved_at, stalled = b - a, 0
@@ -346,8 +390,12 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     1995), so each remaining step of that bisection turns on whether its
     midpoint lies at or above the flip point, the least float whose count is
     at least k.  ``_flip_point`` finds that float by a safeguarded secant on
-    the determinant, and the bisection is replayed against it with no count.
-    So the fences are bitwise those of p - 1 separate bisections.
+    the determinant, mostly without counts: where the bracket's end counts
+    are k - 1 and k, so is every count inside it, and the determinant's sign
+    tells which.  The bisection is then replayed against the flip point in a
+    plain loop with no count.  So the fences are bitwise those of p - 1
+    separate bisections.  At p = 256 on the sawtooth tower a fence takes
+    about 8 passes over the period, 7 of them without the count.
 
     Monotonicity needs pivots that do not overflow.  So a fence is bisected on
     counts instead when ||V|| is within a factor 2 of the float range and when
@@ -371,11 +419,16 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
             continue
         if first == last:
             k = first
-            flip = math.nan  # fails the test below: bisect on counts
             if searchable and left[1] < k <= right[1]:
-                flip = _flip_point(dirichlet, k, lo, left[2], hi, right[2])
-            if not math.isnan(flip):
-                fences[k] = _bisect(lambda e: 1 if e >= flip else -1, lo, hi)
+                flip = _flip_point(dirichlet, k, left, right)
+                # _bisect against flip; lo + hi cannot overflow below 2**1023
+                while lo < mid < hi:
+                    if mid >= flip:
+                        hi = mid
+                    else:
+                        lo = mid
+                    mid = (lo + hi) / 2.0
+                fences[k] = mid
             else:
                 above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
                 fences[k] = _bisect(above, lo, hi)

@@ -99,6 +99,29 @@ def exact_delta(vals, E) -> Fraction:
     return Fraction(m11 + m22, D ** len(ws))
 
 
+def exact_dirichlet_count(vals, E) -> int:
+    """Eigenvalues at or below E of the tridiagonal matrix with diagonal ``vals``, exactly.
+
+    The off-diagonals are 1.  The pivots ``d_i = (v_i - E) - 1/d_{i-1}`` of
+    H - E are taken in ``Fraction``s, so no rounding enters.  The count is
+    the number of negative pivots of H - (E + eps) for every small eps > 0,
+    which is the number of eigenvalues at or below E.  A pivot is strictly
+    decreasing in E, so one that is 0 at E is negative just above it, and
+    the pivot after it is then +infinity, whose reciprocal is 0.
+    """
+    e = Fraction(E)
+    count = 0
+    d = None  # the infinite pivot before the first, or after a zero one
+    for v in vals:
+        if d == 0:
+            d = None  # about 1/eps: positive, not counted
+            continue
+        x = Fraction(v) - e
+        d = x if d is None else x - 1 / d
+        count += d <= 0
+    return count
+
+
 def transfer_log_size(values, E, count, start=0) -> float:
     """log of the largest |entry| of ``exact_transfer``'s product, from 40-digit decimals.
 

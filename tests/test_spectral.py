@@ -32,7 +32,14 @@ from limitper import spectral
 from limitper.potential import PeriodicWindow, read_window
 from limitper.spectral import _bisect, _dirichlet_fences, eigenvalue_counts
 
-from helpers import exact_delta, exact_transfer, traced_peak_mib, transfer_det, transfer_log_size
+from helpers import (
+    exact_delta,
+    exact_dirichlet_count,
+    exact_transfer,
+    traced_peak_mib,
+    transfer_det,
+    transfer_log_size,
+)
 
 ZERO = lambda n: 0.0
 
@@ -325,12 +332,14 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
-def test_dirichlet_fences_need_at_most_20_sturm_counts_per_fence(monkeypatch):
-    # Bisecting each isolated fence to float resolution took about 47.
+def test_dirichlet_fences_need_at_most_8_5_sturm_passes_per_fence(monkeypatch):
+    # Bisecting each isolated fence to float resolution took about 47 counts,
+    # and a secant with the Illinois halving 8.83 passes.
     vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
-    calls = _count_calls(monkeypatch, spectral, ("eigenvalue_count", "_sturm_det"))
+    names = ("eigenvalue_count", "_sturm_det", "_pivot_product")
+    calls = _count_calls(monkeypatch, spectral, names)
     spectral._dirichlet_fences(vals)
-    assert sum(calls.values()) <= 20 * (len(vals) - 1)
+    assert sum(calls.values()) <= 8.5 * (len(vals) - 1)
 
 
 def test_dirichlet_fences_fall_back_to_counts_when_end_counts_do_not_straddle(monkeypatch):
@@ -350,6 +359,70 @@ def test_dirichlet_fences_fall_back_to_counts_when_end_counts_do_not_straddle(mo
     searched = _count_calls(monkeypatch, spectral, ("_flip_point",))
     assert _hexes(spectral._dirichlet_fences(vals)) == _hexes(_old_fences(vals))
     assert searched["_flip_point"] == len(vals) - 3  # fences 1 and p - 1 were bisected
+
+
+def test_dirichlet_fences_fall_back_to_counts_where_the_pivot_product_overflows(monkeypatch):
+    # |V| up to 50 over 299 Dirichlet sites puts |det(H - E)| past the float
+    # range at every guess, so each search takes its counts from _sturm_det.
+    rng = random.Random(1)
+    vals = tuple(rng.uniform(-50.0, 50.0) for _ in range(300))
+    product, overflowed = spectral._pivot_product, []
+
+    def recorded(values, E):
+        det = product(values, E)
+        overflowed.append(math.isinf(det))
+        return det
+
+    monkeypatch.setattr(spectral, "_pivot_product", recorded)
+    assert _hexes(spectral._dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+    # one product per search: after it overflows, the search counts
+    assert overflowed and all(overflowed) and len(overflowed) <= len(vals) - 1
+
+
+def test_flip_point_counts_a_guess_that_lands_on_a_zero_pivot(monkeypatch):
+    # det(H - E) = 2 E - E**3 is odd, so the secant from -0.5 to 0.5 guesses 0,
+    # where the first pivot 0 - E is exactly 0 and the product cannot be formed.
+    dirichlet = (0.0, 0.0, 0.0)
+    left, right = ((e, *spectral._sturm_det(dirichlet, e)) for e in (-0.5, 0.5))
+    assert (left[1], right[1]) == (1, 2)
+    product, raised = spectral._pivot_product, []
+
+    def recorded(values, E):
+        try:
+            return product(values, E)
+        except ZeroDivisionError:
+            raised.append(E)
+            raise
+
+    monkeypatch.setattr(spectral, "_pivot_product", recorded)
+    flip = spectral._flip_point(dirichlet, 2, left, right)
+    assert raised == [0.0]
+    assert flip == 0.0
+    assert eigenvalue_count(dirichlet, flip) >= 2 > eigenvalue_count(dirichlet, -5e-324)
+    by_counts = _bisect(lambda e: 1 if eigenvalue_count(dirichlet, e) >= 2 else -1, -0.5, 0.5)
+    assert _bisect(lambda e: 1 if e >= flip else -1, -0.5, 0.5).hex() == by_counts.hex()
+
+
+def _assert_fences_are_exact_count_changes(vals):
+    # the exact count reaches k within 1e-12 above fence k, and not below it
+    dirichlet, fences = vals[:-1], _dirichlet_fences(vals)
+    delta = Fraction(1e-12)
+    for k in range(1, len(vals)):
+        assert exact_dirichlet_count(dirichlet, Fraction(fences[k]) + delta) >= k, k
+        assert exact_dirichlet_count(dirichlet, Fraction(fences[k]) - delta) < k, k
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_dirichlet_fences_are_exact_count_changes_on_the_sawtooth(level):
+    _assert_fences_are_exact_count_changes(
+        tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(level))
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(-32, 32).map(lambda k: k / 16), min_size=1, max_size=32))
+def test_dirichlet_fences_are_exact_count_changes_on_dyadic_periods(vals):
+    _assert_fences_are_exact_count_changes(tuple(vals))
 
 
 def test_bands_golden_digest():
