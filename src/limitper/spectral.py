@@ -15,7 +15,7 @@ found together by multisection on the Sturm count: fences still sharing a
 bracket share each count.  A fence alone in its bracket ends where bisection
 on the count would end, found without bisecting: a safeguarded secant on the
 Dirichlet determinant locates the float where the count reaches the fence's
-index, and the bisection is replayed against that float.  Between ends that
+index, and the fence is its midpoint with the float below.  Between ends that
 count k - 1 and k, the determinant's sign alone tells the count at a guess.
 This relies on the count being monotone in E, which a zero pivot nudged to
 -5e-324 keeps, so only fences where it need not be (for ||V|| near the float
@@ -307,17 +307,21 @@ def _flip_point(
     left: tuple[float, int, float],
     right: tuple[float, int, float],
 ) -> float:
-    """Least float of ``(a, b]`` with at least k eigenvalues of ``dirichlet`` at or below it.
+    """Where bisection of ``[a, b]`` on "at least k eigenvalues at or below E" ends.
 
-    ``left`` and ``right`` are ``(E, count, det)`` at the ends a and b, with
-    the count below k at a and at least k at b.  The count at each guess
-    decides which end it replaces; the determinants only propose the guess,
-    by a secant step with the Anderson-Bjorck scaling of an end kept twice
-    (BIT 13, 1973).  A guess that lands on an end (its determinant is tiny
-    beside the other) moves to that end's neighbouring float.  The guess is
-    the midpoint when a determinant is zero or not finite, and after three
-    guesses in a row have failed to halve the bracket.  The search ends at
-    adjacent floats.
+    The eigenvalues are those of ``dirichlet``; ``left`` and ``right`` are
+    ``(E, count, det)`` at a and b.  The count is monotone in E, and a
+    midpoint lies strictly between two floats while a float does, so the
+    bisection ends on the midpoint of the flip point, the least float of
+    ``(a, b]`` whose count is at least k (b if none is), and the float below
+    it.  The search returns that midpoint.  The count at each guess decides
+    which end it replaces; the determinants only propose the guess, by a
+    secant step with the Anderson-Bjorck scaling of an end kept twice (BIT 13,
+    1973).  A guess that lands on an end (its determinant is tiny beside the
+    other) moves to that end's neighbouring float.  The guess is the midpoint
+    when a determinant is zero or not finite, when the two are equal (an end
+    count is off), and after three guesses in a row have failed to halve the
+    bracket.
 
     Where the end counts are exactly k - 1 and k, the count being monotone
     puts every count inside at k - 1 or k, and the sign of the determinant,
@@ -336,9 +340,9 @@ def _flip_point(
     while True:
         mid = _midpoint(a, b)
         if not a < mid < b:
-            return b
+            return mid
         x = mid
-        if stalled < 3 and 0.0 < abs(fa) < math.inf and 0.0 < abs(fb) < math.inf:
+        if stalled < 3 and 0.0 < abs(fa) < math.inf and 0.0 < abs(fb) < math.inf and fa != fb:
             x = b - fb * ((b - a) / (fb - fa))
             if x >= b:
                 x = math.nextafter(b, a)
@@ -387,19 +391,17 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
 
     A bracket left with one fence k is not bisected on counts.  The floating
     point Sturm count is monotone in E (Kahan 1966; Demmel, Dhillon and Ren
-    1995), so each remaining step of that bisection turns on whether its
-    midpoint lies at or above the flip point, the least float whose count is
-    at least k.  ``_flip_point`` finds that float by a safeguarded secant on
-    the determinant, mostly without counts: where the bracket's end counts
-    are k - 1 and k, so is every count inside it, and the determinant's sign
-    tells which.  The bisection is then replayed against the flip point in a
-    plain loop with no count.  So the fences are bitwise those of p - 1
-    separate bisections.  At p = 256 on the sawtooth tower a fence takes
+    1995), so ``_flip_point`` returns where that bisection ends from a
+    safeguarded secant on the determinant, mostly without counts: where the
+    bracket's end counts are k - 1 and k, so is every count inside it, and
+    the determinant's sign tells which.  So the fences are bitwise those of
+    p - 1 separate bisections.  At p = 256 on the sawtooth tower a fence takes
     about 8 passes over the period, 7 of them without the count.
 
-    Monotonicity needs pivots that do not overflow.  So a fence is bisected on
-    counts instead when ||V|| is within a factor 2 of the float range and when
-    its bracket's end counts do not straddle k, which monotonicity rules out.
+    Monotonicity needs pivots that do not overflow, so a fence is bisected on
+    counts instead when ||V|| is within a factor 2 of the float range.  Other
+    end counts, as where ``3 + ||V||`` rounds to ||V|| and ``(-1e20, 0.0, 5.0)``
+    counts 1 at -outer, cost ``_flip_point`` a count at every guess.
     """
     p = len(vals)
     outer = 3.0 + max(abs(v) for v in vals)
@@ -419,16 +421,8 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
             continue
         if first == last:
             k = first
-            if searchable and left[1] < k <= right[1]:
-                flip = _flip_point(dirichlet, k, left, right)
-                # _bisect against flip; lo + hi cannot overflow below 2**1023
-                while lo < mid < hi:
-                    if mid >= flip:
-                        hi = mid
-                    else:
-                        lo = mid
-                    mid = (lo + hi) / 2.0
-                fences[k] = mid
+            if searchable:
+                fences[k] = _flip_point(dirichlet, k, left, right)
             else:
                 above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
                 fences[k] = _bisect(above, lo, hi)
@@ -873,7 +867,9 @@ def log_holder_report(curve: IDSCurve) -> dict:
         de = e2 - e1
         if de <= 0:
             continue
-        product = abs(k2 - k1) * math.log(1.0 / de) if de < 1.0 else 0.0
+        # 1 / dE overflows below about 5.6e-309; elsewhere keep log(1 / dE)'s bits
+        log_inv = math.log(1.0 / de) if 1.0 / de < math.inf else -math.log(de)
+        product = abs(k2 - k1) * log_inv if de < 1.0 else 0.0
         worst = max(worst, product)
         rows.append({"E": _midpoint(e1, e2), "dk": k2 - k1, "dE": de, "log_holder": product})
     return {"max_log_holder": worst, "pairs": rows}

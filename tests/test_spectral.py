@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -342,7 +343,7 @@ def test_dirichlet_fences_need_at_most_8_5_sturm_passes_per_fence(monkeypatch):
     assert sum(calls.values()) <= 8.5 * (len(vals) - 1)
 
 
-def test_dirichlet_fences_fall_back_to_counts_when_end_counts_do_not_straddle(monkeypatch):
+def test_dirichlet_fences_match_separate_bisections_when_end_counts_do_not_straddle(monkeypatch):
     # The outlying -10 and 10 put fences 1 and p - 1 in brackets that end at
     # -outer and outer, the only ends whose counts the multisection never uses.
     rng = random.Random(4)
@@ -356,9 +357,58 @@ def test_dirichlet_fences_fall_back_to_counts_when_end_counts_do_not_straddle(mo
         return {-outer: len(values), outer: 0}.get(E, count), det
 
     monkeypatch.setattr(spectral, "_sturm_det", lying_at_the_outer_fences)
-    searched = _count_calls(monkeypatch, spectral, ("_flip_point",))
     assert _hexes(spectral._dirichlet_fences(vals)) == _hexes(_old_fences(vals))
-    assert searched["_flip_point"] == len(vals) - 3  # fences 1 and p - 1 were bisected
+
+
+@pytest.mark.parametrize(
+    "vals", [(-1e20, 0.0, 5.0), (2.0**60, 0.0, -1.0) * 3, (2.0**-120, 2.0**60, 0.0)]
+)
+def test_dirichlet_fences_match_separate_bisections_where_an_eigenvalue_lies_at_outer(vals):
+    # 3 + ||V|| rounds to ||V||, so the count at -outer is above 0 or the count
+    # at outer below p - 1, and an end fence's bracket does not straddle it.
+    # In the last, fence 2's bracket [0, outer] counts 1 with determinant -1.0
+    # at both ends, so a secant step between them would divide by zero.
+    outer = 3.0 + max(abs(v) for v in vals)
+    dirichlet = vals[:-1]
+    assert outer == max(abs(v) for v in vals)
+    ends = (eigenvalue_count(dirichlet, -outer), eigenvalue_count(dirichlet, outer))
+    assert ends != (0, len(dirichlet))
+    assert _hexes(_dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+
+
+def _isolating_brackets(vals):
+    """``(k, left, right)`` of each ``_flip_point`` search in ``_dirichlet_fences(vals)``."""
+    searches, search = [], spectral._flip_point
+
+    def recorded(dirichlet, k, left, right):
+        searches.append((k, left, right))
+        return search(dirichlet, k, left, right)
+
+    with mock.patch.object(spectral, "_flip_point", recorded):
+        _dirichlet_fences(vals)
+    return searches
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.one_of(
+        st.lists(st.floats(-4, 4, allow_nan=False), min_size=2, max_size=12),
+        st.tuples(st.lists(_small_values, min_size=1, max_size=4), st.integers(2, 4)).map(
+            lambda qk: qk[0] * qk[1]  # tiled: gaps not divisible by k are closed
+        ),
+        st.lists(st.integers(-2, 2).map(float), min_size=2, max_size=12),  # zero pivots
+    ),
+    st.sampled_from([1.0, 2.0**60]),
+)
+@example([2.0**-180, 1.0, 0.0], 2.0**60)  # equal determinants at both ends
+def test_flip_point_ends_where_bisection_on_counts_ends(vals, scale):
+    # At scale 2**60, 3 + ||V|| rounds to ||V|| and an end count may be off.
+    vals = tuple(v * scale for v in vals)
+    dirichlet = vals[:-1]
+    for k, left, right in _isolating_brackets(vals):
+        above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
+        by_counts = _bisect(above, left[0], right[0])
+        assert spectral._flip_point(dirichlet, k, left, right).hex() == by_counts.hex()
 
 
 def test_dirichlet_fences_fall_back_to_counts_where_the_pivot_product_overflows(monkeypatch):
@@ -397,9 +447,9 @@ def test_flip_point_counts_a_guess_that_lands_on_a_zero_pivot(monkeypatch):
     monkeypatch.setattr(spectral, "_pivot_product", recorded)
     flip = spectral._flip_point(dirichlet, 2, left, right)
     assert raised == [0.0]
-    assert flip == 0.0
-    assert eigenvalue_count(dirichlet, flip) >= 2 > eigenvalue_count(dirichlet, -5e-324)
     by_counts = _bisect(lambda e: 1 if eigenvalue_count(dirichlet, e) >= 2 else -1, -0.5, 0.5)
+    assert flip.hex() == by_counts.hex()
+    assert eigenvalue_count(dirichlet, flip) >= 2 > eigenvalue_count(dirichlet, -5e-324)
     assert _bisect(lambda e: 1 if e >= flip else -1, -0.5, 0.5).hex() == by_counts.hex()
 
 
@@ -937,6 +987,15 @@ def test_log_holder_report_shape():
     report = log_holder_report(curve)
     assert report["max_log_holder"] == pytest.approx(0.3 * math.log(1000.0))
     assert len(report["pairs"]) == 2
+
+
+def test_log_holder_stays_finite_at_a_subnormal_spacing():
+    # 1 / 5e-321 overflows to inf, so a finite product needs -log(dE) here
+    report = log_holder_report(IDSCurve((0.0, 5e-321, 1e-320), (0.0, 0.5, 1.0)))
+    products = [r["log_holder"] for r in report["pairs"]]
+    assert products == [0.5 * -math.log(5e-321)] * 2
+    assert products[0] == pytest.approx(0.5 * 737.5, rel=1e-4)
+    assert report["max_log_holder"] == products[0]
 
 
 def test_log_holder_midpoint_does_not_overflow():
