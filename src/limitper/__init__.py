@@ -14,12 +14,10 @@ from .procyclic import (
     MetricResult,
     ProcyclicElement,
     QuotientMap,
-    embed_from_subchain,
     is_generator,
     metric,
     orbit_residues,
     quotient,
-    restrict_to_subchain,
 )
 from .potential import (
     GordonReport,

@@ -5,8 +5,7 @@ with ``x_j mod n_i = x_i`` for ``i <= j``.  Integer points have ``x_j = k mod n_
 and are dense; everything here computes with truncations at an explicit level J,
 with metric statements carrying a tail bound of ``2**-J``.  A level-J truncation
 is the group ``Z/n_J``: the top residue ``x_J`` decides every lower one, so sums,
-negatives, restrictions, embeddings and quotients are all built from it by
-``ProcyclicElement.from_int``.
+negatives and quotients are all built from it by ``ProcyclicElement.from_int``.
 
 The metric is the standard product-topology metric with discrete factors:
 ``dist(x, y) = sum_j 2**-j * [x_j != y_j] / 2`` as an exact dyadic rational.
@@ -189,25 +188,3 @@ def quotient(chain: FrequencyChain, target: FrequencyChain) -> QuotientMap:
             f"target order {target.limit()} does not divide source order {chain.limit()}"
         )
     return QuotientMap(chain, target)
-
-
-def restrict_to_subchain(x: ProcyclicElement, step: int) -> ProcyclicElement:
-    """Project onto the chain of every ``step``-th level."""
-    sub = x.chain.subchain(step)
-    level = x.level // step
-    if level < 1:
-        raise ValueError(f"element level {x.level} too shallow for step {step}")
-    return ProcyclicElement.from_int(sub, level, x.residues[-1])
-
-
-def embed_from_subchain(
-    y: ProcyclicElement, chain: FrequencyChain, step: int
-) -> ProcyclicElement:
-    """Reconstruct a full-chain truncation from a subchain element.
-
-    Residues at skipped levels are forced by compatibility from the next kept
-    level, so the embedding is exact up to level ``y.level * step``.
-    """
-    if y.chain != chain.subchain(step):
-        raise ValueError("element does not live on the subchain of the given chain")
-    return ProcyclicElement.from_int(chain, y.level * step, y.residues[-1])

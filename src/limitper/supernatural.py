@@ -10,7 +10,6 @@ conventions ``e <= INF`` for every ``e`` and ``INF <= INF``.
 """
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -129,9 +128,6 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-_TERM_RE = re.compile(r"^(\d+)\^(\d+|inf)$")
-
-
 @dataclass(frozen=True)
 class Supernatural:
     """Canonical formal product ``prod p^e(p)``, stored as sorted (prime, exponent) pairs."""
@@ -158,38 +154,6 @@ class Supernatural:
         pairs = tuple(sorted((p, e) for p, e in factors.items() if e != 0))
         return cls(pairs)
 
-    @classmethod
-    def from_int(cls, n: int) -> "Supernatural":
-        return cls.from_factors(factorize(n))
-
-    @classmethod
-    def one(cls) -> "Supernatural":
-        return cls(())
-
-    @classmethod
-    def parse(cls, text: str) -> "Supernatural":
-        """Parse strings like ``"2^inf*3^4"``; ``"1"`` denotes the empty product."""
-        stripped = text.strip()
-        if stripped == "1":
-            return cls.one()
-        if not stripped:
-            raise ValueError("empty factorization string")
-        factors: dict[int, Exponent] = {}
-        for term in stripped.split("*"):
-            m = _TERM_RE.match(term.strip())
-            if m is None:
-                raise ValueError(f"malformed term {term.strip()!r}, expected p^e")
-            p = int(m.group(1))
-            e: Exponent = INF if m.group(2) == "inf" else int(m.group(2))
-            if e == 0:
-                raise ValueError(f"zero exponent for base {p}")
-            if not is_prime(p):
-                raise ValueError(f"base {p} is not prime")
-            if p in factors:
-                raise ValueError(f"duplicate prime {p}")
-            factors[p] = e
-        return cls.from_factors(factors)
-
     def format(self) -> str:
         if not self.pairs:
             return "1"
@@ -200,10 +164,6 @@ class Supernatural:
 
     def __str__(self) -> str:
         return self.format()
-
-    @property
-    def factors(self) -> dict[int, Exponent]:
-        return dict(self.pairs)
 
     def exponent(self, p: int) -> Exponent:
         for q, e in self.pairs:
@@ -230,6 +190,3 @@ class Supernatural:
             if m != 0:
                 factors[p] = m
         return Supernatural.from_factors(factors)
-
-    def is_finite(self) -> bool:
-        return all(e != INF for _, e in self.pairs)

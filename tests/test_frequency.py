@@ -216,6 +216,11 @@ def test_subchain_invariance(seed, step):
     assert hulls_isomorphic(chain, chain.subchain(step)).isomorphic
 
 
+def test_subchain_refuses_a_step_below_one():
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        chain_make([2], [2]).subchain(0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_classification_agrees_with_divisibility_search(seed_a, seed_b):

@@ -1,24 +1,17 @@
 """Hull operations built from the top residue against the entry-by-entry formulas.
 
-A level-J element is decided by its top residue, so ``+``, ``-``, the subchain
-maps and quotient maps are built by ``ProcyclicElement.from_int``.  The
-``frozen_*`` functions below are the earlier formulas, which computed every
-residue of the result on its own; each operation must give the same element,
-or the same ``ValueError`` text, on random ruled and finite chains.
+A level-J element is decided by its top residue, so ``+``, ``-`` and quotient
+maps are built by ``ProcyclicElement.from_int``.  The ``frozen_*`` functions
+below are the earlier formulas, which computed every residue of the result on
+its own; each operation must give the same element, or the same ``ValueError``
+text, on random ruled and finite chains.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from limitper import (
-    ProcyclicElement,
-    chain_make,
-    embed_from_subchain,
-    maximal_chain,
-    quotient,
-    restrict_to_subchain,
-)
+from limitper import ProcyclicElement, chain_make, maximal_chain, quotient
 
 _RATIOS = (2, 3, 5, 6)
 _INTS = st.integers(-10**6, 10**6)
@@ -35,24 +28,6 @@ def frozen_add(x, y):
 def frozen_neg(x):
     moduli = x.chain.terms(x.level)
     return ProcyclicElement(x.chain, x.level, tuple((-a) % n for a, n in zip(x.residues, moduli)))
-
-
-def frozen_restrict_to_subchain(x, step):
-    sub = x.chain.subchain(step)
-    level = x.level // step
-    if level < 1:
-        raise ValueError(f"element level {x.level} too shallow for step {step}")
-    residues = tuple(x.residues[i * step - 1] for i in range(1, level + 1))
-    return ProcyclicElement(sub, level, residues)
-
-
-def frozen_embed_from_subchain(y, chain, step):
-    if y.chain != chain.subchain(step):
-        raise ValueError("element does not live on the subchain of the given chain")
-    level = y.level * step
-    moduli = chain.terms(level)
-    residues = tuple(y.residues[-(-j // step) - 1] % moduli[j - 1] for j in range(1, level + 1))
-    return ProcyclicElement(chain, level, residues)
 
 
 def frozen_apply(qmap, x, level=None):
@@ -113,17 +88,6 @@ def test_sum_and_negative_match_the_residue_formulas(data, chain, j, k):
     assert -x == frozen_neg(x)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.data(), chains(), st.integers(1, 4), _INTS)
-def test_subchain_maps_match_the_residue_formulas(data, chain, step, k):
-    x = ProcyclicElement.from_int(chain, data.draw(levels(chain)), k)
-    restricted = outcome(restrict_to_subchain, x, step)
-    assert restricted == outcome(frozen_restrict_to_subchain, x, step)
-    if isinstance(restricted, ProcyclicElement):
-        y = ProcyclicElement.from_int(restricted.chain, data.draw(levels(restricted.chain)), k)
-        assert embed_from_subchain(y, chain, step) == frozen_embed_from_subchain(y, chain, step)
-
-
 @st.composite
 def quotient_maps(draw):
     """A map onto a finite target (gcds of the source entries with a fixed M) or a ruled one."""
@@ -158,9 +122,3 @@ def test_shallow_and_unreachable_elements_give_the_old_errors():
     x = ProcyclicElement.from_int(source, 2, 3)
     message = "ValueError: element level 2 cannot reach target level 2"
     assert outcome(qmap.apply, x, 2) == outcome(frozen_apply, qmap, x, 2) == message
-    message = "ValueError: element level 2 too shallow for step 3"
-    assert outcome(restrict_to_subchain, x, 3) == outcome(frozen_restrict_to_subchain, x, 3)
-    assert outcome(restrict_to_subchain, x, 3) == message
-    message = "ValueError: step must be >= 1"
-    assert outcome(restrict_to_subchain, x, 0) == outcome(frozen_restrict_to_subchain, x, 0)
-    assert outcome(restrict_to_subchain, x, 0) == message

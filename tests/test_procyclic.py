@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from limitper import (
     ProcyclicElement,
     chain_make,
-    embed_from_subchain,
     is_generator,
     metric,
     orbit_residues,
     quotient,
-    restrict_to_subchain,
 )
 
 from helpers import random_chain
@@ -174,17 +172,3 @@ def test_quotient_is_homomorphism(seed, j, k):
     a = ProcyclicElement.from_int(chain, 5, j)
     b = ProcyclicElement.from_int(chain, 5, k)
     assert qmap.apply(a + b) == qmap.apply(a) + qmap.apply(b)
-
-
-@settings(deadline=None)
-@given(st.integers(0, 10**5), st.integers(2, 4), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
-def test_subchain_restriction_commutes_with_addition(seed, step, j, k):
-    chain = random_chain(random.Random(seed))
-    level = 3 * step
-    a = ProcyclicElement.from_int(chain, level, j)
-    b = ProcyclicElement.from_int(chain, level, k)
-    ra, rb = restrict_to_subchain(a, step), restrict_to_subchain(b, step)
-    assert restrict_to_subchain(a + b, step) == ra + rb
-    # re-embedding reconstructs the truncation the subchain can see
-    assert embed_from_subchain(ra, chain, step) == a
-    assert embed_from_subchain(ra + rb, chain, step) == a + b
