@@ -497,8 +497,7 @@ _LAYER = {"period": REQUIRED, "values": REQUIRED}
 _CHAIN = {"prefix": REQUIRED, "rule": []}
 
 
-def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
-    """All subcommands; flags only on ``first`` if it names one, as argparse reads no other's."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limitper",
         description="Classify limit-periodic hulls and measure spectra of the "
@@ -507,8 +506,6 @@ def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(command, allow_abbrev=False)  # a flag is its field name, spelled out
-        if first in _COMMANDS and command != first:
-            continue
         p.add_argument("--config", default=None, help="JSON config file; overrides flags")
         for name in defaults:  # flag text is typed in _resolve_config
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
@@ -558,8 +555,8 @@ def _glue_negative_numbers(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = _glue_negative_numbers(sys.argv[1:] if argv is None else argv)
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(_glue_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         _COMMANDS[args.command][0](_resolve_config(args))
     except CliError as exc:

@@ -817,38 +817,6 @@ def test_an_abbreviated_flag_is_refused_whatever_its_value(capsys, value):
     assert f"unrecognized arguments: --energy-mi {value}" in capsys.readouterr().err
 
 
-def _exit(capsys, argv):
-    """Exit code, stdout and stderr of ``main(argv)``, argparse's own exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-_PARSER_ARGVS = [
-    [], ["--help"], ["--he"], ["-h", "spectrum"], ["bogus"], ["bogus", "--level", "1"],
-    *([command, "--help"] for command in _COMMANDS),
-    *([command, "--nope", "1"] for command in _COMMANDS),
-    ["spectrum", "--potential", REMARK, "--lev", "3"],
-    ["spectrum", "--potential", REMARK, "--level"],
-    ["spectrum", "--potential", REMARK, "--level", "3"],
-]
-
-
-def test_a_parser_with_one_commands_flags_reads_argv_as_the_full_parser_does(capsys, monkeypatch):
-    from limitper import cli
-
-    with pytest.raises(SystemExit):  # the parser for spectrum leaves classify without flags
-        cli._build_parser("spectrum").parse_args(["classify", "--chain", DYADIC])
-    capsys.readouterr()
-    observed = [_exit(capsys, argv) for argv in _PARSER_ARGVS]
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda first=None: full())
-    assert [_exit(capsys, argv) for argv in _PARSER_ARGVS] == observed
-
-
 def test_one_run_prints_one_hash_however_it_is_spelled(tmp_path, capsys):
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps({"chain": RULED_CHAIN}))

@@ -16,8 +16,6 @@ def test_format_round_trip():
              ({5: 1, 11: INF}, "5^1*11^inf")]
     for factors, text in cases:
         assert S(factors).format() == text
-    n = S({3: 2, 2: INF})
-    assert S(dict(n.pairs)) == n
 
 
 def test_divides_examples():
