@@ -247,6 +247,18 @@ def _grid_point(emin: float, emax: float, i: int, steps: int) -> float:
     return min(emin + (emax - emin) * (i / steps), emax)
 
 
+# CPython 3.10.7 and later refuse to print an int of more than 4300 decimal
+# digits by default; an output refuses such an entry itself on every version.
+_MAX_DIGITS = 4300
+
+
+def _printable(n: int, what: str) -> int:
+    """``n``, or a ValueError naming ``what`` when it has too many digits to print."""
+    if n >= 10**_MAX_DIGITS:
+        raise ValueError(f"{what} has more than {_MAX_DIGITS} decimal digits")
+    return n
+
+
 def _json_safe(obj):
     # json.dumps would emit bare Infinity/NaN tokens, which are not JSON.
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -307,6 +319,7 @@ def cmd_maximal_chain(config: ExperimentConfig) -> None:
     chain = _classifiable_chain(config.chain, "chain")
     with _blame("depth"):
         refined = maximal_chain(chain, config.depth)
+        _printable(refined.prefix[-1], "the refined chain's last entry")
     _write_json(
         {"config_hash": config.config_hash(), "chain": refined.to_json_dict()},
         config.out,
@@ -346,7 +359,7 @@ def cmd_detect_frequency(config: ExperimentConfig) -> None:
 def cmd_orbit(config: ExperimentConfig) -> None:
     chain = _build_chain(config.chain, "chain")
     with _blame("level"):
-        modulus = chain.nth_term(config.level)
+        modulus = _printable(chain.nth_term(config.level), f"chain entry {config.level}")
     residues = orbit_residues(chain, config.k, config.level, config.steps)
     _write_json(
         {

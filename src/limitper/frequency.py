@@ -16,35 +16,33 @@ so witnesses and blockers need no factorization however deep they lie.
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from collections import namedtuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .supernatural import INF, Supernatural, factorize
 
 
-@dataclass(frozen=True)
-class FrequencyChain:
+class FrequencyChain(namedtuple("FrequencyChain", "prefix rule")):
     """Divisibility chain ``n_1 | n_2 | ...`` given by a prefix and an optional cyclic ratio rule."""
 
-    prefix: tuple[int, ...]
-    rule: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "rule", tuple(self.rule))
-        if not self.prefix:
+    def __new__(cls, prefix: Iterable[int], rule: Iterable[int] = ()) -> "FrequencyChain":
+        prefix, rule = tuple(prefix), tuple(rule)
+        if not prefix:
             raise ValueError("chain prefix must be nonempty")
-        for n in self.prefix:
+        for n in prefix:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ValueError(f"chain entries must be positive integers, got {n!r}")
-        for a, b in zip(self.prefix, self.prefix[1:]):
+        for a, b in zip(prefix, prefix[1:]):
             if b <= a:
                 raise ValueError(f"chain entries must be strictly increasing ({a} then {b})")
             if b % a != 0:
                 raise ValueError(f"divisibility violated: {a} does not divide {b}")
-        for r in self.rule:
+        for r in rule:
             if not isinstance(r, int) or isinstance(r, bool) or r < 2:
                 raise ValueError(f"rule ratios must be integers >= 2, got {r!r}")
+        return super().__new__(cls, prefix, rule)
 
     def nth_term(self, j: int) -> int:
         """The j-th chain entry, 1-indexed; total for every j >= 1 on ruled chains."""
@@ -189,8 +187,7 @@ def first_level_divisible(chain: FrequencyChain, n: int) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class HullComparison:
+class HullComparison(NamedTuple):
     """Classification verdict for two chains, with divisibility witnesses.
 
     When isomorphic, ``forward[i] = (entry_of_a, witness_entry_of_b)`` exhibits a

@@ -23,7 +23,7 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import cycle, islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -32,42 +32,41 @@ from .frequency import FrequencyChain
 from .procyclic import ProcyclicElement
 
 
-@dataclass(frozen=True)
-class PeriodicLayer:
-    period: int
-    values: tuple[float, ...]
+class PeriodicLayer(namedtuple("PeriodicLayer", "period values")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.period < 1:
+    def __new__(cls, period: int, values: Sequence[float]) -> "PeriodicLayer":
+        values = tuple(float(v) for v in values)
+        if period < 1:
             raise ValueError("period must be >= 1")
-        if len(self.values) != self.period:
-            raise ValueError(f"expected {self.period} values, got {len(self.values)}")
-        if not all(math.isfinite(v) for v in self.values):
+        if len(values) != period:
+            raise ValueError(f"expected {period} values, got {len(values)}")
+        if not all(math.isfinite(v) for v in values):
             raise ValueError("layer values must be finite")
+        return super().__new__(cls, period, values)
 
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class SamplingFunction:
+class SamplingFunction(namedtuple("SamplingFunction", "chain layers residual_bound")):
     """Finite layer tower over a chain, plus a certified bound on the missing tail."""
 
-    chain: FrequencyChain
-    layers: tuple[PeriodicLayer, ...]
-    residual_bound: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if self.residual_bound < 0 or not math.isfinite(self.residual_bound):
+    def __new__(
+        cls, chain: FrequencyChain, layers: Sequence[PeriodicLayer], residual_bound: float = 0.0
+    ) -> "SamplingFunction":
+        layers = tuple(layers)
+        if residual_bound < 0 or not math.isfinite(residual_bound):
             raise ValueError("residual bound must be finite and >= 0")
-        moduli = self.chain.terms(len(self.layers)) if self.layers else []
-        for layer, n in zip(self.layers, moduli):
+        moduli = chain.terms(len(layers)) if layers else []
+        for layer, n in zip(layers, moduli):
             if layer.period != n:
                 raise ValueError(
                     f"layer period {layer.period} does not match chain entry {n}"
                 )
+        return super().__new__(cls, chain, layers, residual_bound)
 
     @property
     def depth(self) -> int:
@@ -148,8 +147,21 @@ def sawtooth_tail(chain: FrequencyChain, depth: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class Potential:
+class _Frozen:
+    """Fields set once, by ``__init__`` through ``vars(self)``; assigning or deleting one raises."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Potential(_Frozen):
     """A two-sided sequence ``n -> V(n)`` with certified evaluation error.
 
     ``kind`` matches the manifest wire names: "remark" (sawtooth tower),
@@ -160,19 +172,32 @@ class Potential:
     ``1..depth``.  Every kind stores one period of finite values in ``values``
     (a tower's orbit, read once) and V(n) is ``values[n % period]``, within
     ``tol`` of the untruncated tower.  Seeded noise, which stores no period, is
-    the subclass ``NoisePotential``.
+    the subclass ``NoisePotential``.  Two potentials are equal when they are of
+    one class and their fields are equal.
     """
 
-    kind: str
-    base: int = 0
-    generator: int = 1
-    sampling: Optional[SamplingFunction] = None
-    tails: tuple[float, ...] = ()
-    values: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.values is not None and not all(map(math.isfinite, self.values)):
+    def __init__(
+        self,
+        kind: str,
+        base: int = 0,
+        generator: int = 1,
+        sampling: Optional[SamplingFunction] = None,
+        tails: tuple[float, ...] = (),
+        values: Optional[tuple[float, ...]] = None,
+    ) -> None:
+        if values is not None and not all(map(math.isfinite, values)):
             raise ValueError("potential values must be finite")
+        vars(self).update(
+            kind=kind, base=base, generator=generator, sampling=sampling, tails=tails, values=values
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     @property
     def chain(self) -> Optional[FrequencyChain]:
@@ -228,13 +253,13 @@ class Potential:
         return _orbit_table(self.sampling.layers[:level], self.base, self.generator)
 
 
-@dataclass(frozen=True, kw_only=True)
 class NoisePotential(Potential):
     """Seeded uniform noise between ``low`` and ``high``: wire kind "iid", a negative control."""
 
-    seed: int
-    low: float
-    high: float
+    def __init__(self, *args, seed: int, low: float, high: float, **fields) -> None:
+        """``Potential``'s fields, then the keyword-only ``seed``, ``low`` and ``high``."""
+        super().__init__(*args, **fields)
+        vars(self).update(seed=seed, low=low, high=high)
 
     def value(self, n: int) -> float:
         # a bare generator: __init__ would seed it from the OS first
@@ -253,18 +278,17 @@ class NoisePotential(Potential):
         return self.low + (self.high - self.low) * rng.random()
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicWindow:
+class PeriodicWindow(_Frozen):
     """``length`` consecutive sites of a p-periodic sequence, held as one period.
 
     Site i of the window is ``values[i % p]``, the very float stored there, so
     a window of any length takes memory for one period.  It has a length and
     iterates over its sites, and ``spectral.eigenvalue_count`` reads the period
-    itself.
+    itself.  A window equals only itself.
     """
 
-    values: tuple[float, ...]
-    length: int
+    def __init__(self, values: tuple[float, ...], length: int) -> None:
+        vars(self).update(values=values, length=length)
 
     def __len__(self) -> int:
         return self.length

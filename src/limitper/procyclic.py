@@ -12,35 +12,35 @@ The metric is the standard product-topology metric with discrete factors:
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .frequency import FrequencyChain, first_level_divisible
 
 
-@dataclass(frozen=True)
-class ProcyclicElement:
-    chain: FrequencyChain
-    level: int
-    residues: tuple[int, ...]
+class ProcyclicElement(namedtuple("ProcyclicElement", "chain level residues")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(self.residues))
-        if self.level < 1:
+    def __new__(
+        cls, chain: FrequencyChain, level: int, residues: tuple[int, ...]
+    ) -> "ProcyclicElement":
+        residues = tuple(residues)
+        if level < 1:
             raise ValueError("level must be >= 1")
-        if len(self.residues) != self.level:
-            raise ValueError(f"expected {self.level} residues, got {len(self.residues)}")
-        moduli = self.chain.terms(self.level)
-        for x, n in zip(self.residues, moduli):
+        if len(residues) != level:
+            raise ValueError(f"expected {level} residues, got {len(residues)}")
+        moduli = chain.terms(level)
+        for x, n in zip(residues, moduli):
             if not 0 <= x < n:
                 raise ValueError(f"residue {x} out of range for modulus {n}")
-        for i in range(1, self.level):
-            if self.residues[i] % moduli[i - 1] != self.residues[i - 1]:
+        for i in range(1, level):
+            if residues[i] % moduli[i - 1] != residues[i - 1]:
                 raise ValueError(
                     f"incompatible residues at levels {i} and {i + 1}: "
-                    f"{self.residues[i]} mod {moduli[i - 1]} != {self.residues[i - 1]}"
+                    f"{residues[i]} mod {moduli[i - 1]} != {residues[i - 1]}"
                 )
+        return super().__new__(cls, chain, level, residues)
 
     @classmethod
     def from_int(cls, chain: FrequencyChain, level: int, k: int) -> "ProcyclicElement":
@@ -140,8 +140,7 @@ def orbit_residues(chain: FrequencyChain, k: int, level: int, steps: int) -> lis
     return [(m * k) % n for m in range(steps)]
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(NamedTuple):
     """Reduction onto a procyclic quotient, aligned level by level.
 
     Each target level t is matched with the first source level whose modulus the

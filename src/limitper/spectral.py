@@ -35,7 +35,7 @@ and the O(N) count runs only where the certificate fails.
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -48,8 +48,7 @@ _LOG_2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class TransferState:
+class TransferState(NamedTuple):
     """2x2 transfer product, stored descaled with an accumulated log-scale factor."""
 
     m11: float
@@ -179,18 +178,15 @@ def discriminant(vals: Sequence[float], E: float) -> float:
     return math.copysign(math.exp(log_mag), trace)
 
 
-@dataclass(frozen=True)
-class BandSet:
+class BandSet(namedtuple("BandSet", "intervals")):
     """Finite union of disjoint closed intervals, sorted ascending."""
 
-    intervals: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "intervals", tuple((float(a), float(b)) for a, b in self.intervals)
-        )
+    def __new__(cls, intervals: Iterable[tuple[float, float]]) -> "BandSet":
+        intervals = tuple((float(a), float(b)) for a, b in intervals)
         prev_hi = -math.inf
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("band endpoints must be finite")
             if hi < lo:
@@ -198,6 +194,7 @@ class BandSet:
             if lo <= prev_hi:
                 raise ValueError("intervals must be disjoint and ascending")
             prev_hi = hi
+        return super().__new__(cls, intervals)
 
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
@@ -816,15 +813,14 @@ def ids(V: Callable[[int], float], E: float, N: int = 10_000) -> float:
     return ids_curve(V, (E,), N).values[0]
 
 
-@dataclass(frozen=True)
-class IDSCurve:
-    energies: tuple[float, ...]
-    values: tuple[float, ...]
+class IDSCurve(namedtuple("IDSCurve", "energies values")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.energies) != len(self.values):
+    def __new__(cls, energies: tuple[float, ...], values: tuple[float, ...]) -> "IDSCurve":
+        if len(energies) != len(values):
             raise ValueError("energies and values must have equal length")
-        _check_ascending(self.energies)
+        _check_ascending(energies)
+        return super().__new__(cls, energies, values)
 
 
 def _check_ascending(energies: Sequence[float]) -> None:
@@ -875,8 +871,7 @@ def log_holder_report(curve: IDSCurve) -> dict:
     return {"max_log_holder": worst, "pairs": rows}
 
 
-@dataclass(frozen=True)
-class SpectrumApprox:
+class SpectrumApprox(NamedTuple):
     band_set: BandSet
     tail_bound: float
     level: int

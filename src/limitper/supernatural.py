@@ -10,7 +10,7 @@ conventions ``e <= INF`` for every ``e`` and ``INF <= INF``.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, Union
 
 INF = math.inf
@@ -128,15 +128,14 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-@dataclass(frozen=True)
-class Supernatural:
+class Supernatural(namedtuple("Supernatural", "pairs")):
     """Canonical formal product ``prod p^e(p)``, stored as sorted (prime, exponent) pairs."""
 
-    pairs: tuple[tuple[int, Exponent], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, pairs: tuple[tuple[int, Exponent], ...]) -> "Supernatural":
         seen = set()
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p in seen:
                 raise ValueError(f"duplicate prime {p}")
             seen.add(p)
@@ -146,8 +145,9 @@ class Supernatural:
                 continue
             if not isinstance(e, int) or e < 1:
                 raise ValueError(f"exponent of {p} must be a positive integer or INF, got {e!r}")
-        if tuple(sorted(self.pairs)) != self.pairs:
+        if tuple(sorted(pairs)) != pairs:
             raise ValueError("pairs must be sorted by prime")
+        return super().__new__(cls, pairs)
 
     @classmethod
     def from_factors(cls, factors: Mapping[int, Exponent]) -> "Supernatural":

@@ -280,6 +280,22 @@ def test_orbit_command(capsys):
     assert doc["residues"][:3] == [0, 3, 6]
 
 
+def test_an_entry_too_long_to_print_is_refused_at_its_field(capsys):
+    # 2**14284 has 4300 decimal digits and 2**14285 has 4301, one past what
+    # CPython 3.10.7 and later print by default; every version refuses it alike
+    orbit = ("orbit", "--chain", DYADIC, "--k", "1", "--steps", "1")
+    code, out, _ = run(capsys, *orbit, "--level", "14284")
+    assert code == 0 and json.loads(out)["modulus"] == 2**14284
+    too_long = (
+        ("level", orbit + ("--level", "14285")),
+        ("depth", ("maximal-chain", "--chain", DYADIC, "--depth", "14285")),
+    )
+    for field, argv in too_long:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: ") and "more than 4300 decimal digits" in err
+
+
 def test_quotient_command_and_error(capsys):
     code, out, _ = run(capsys, "quotient", "--chain", DYADIC, "--target", '{"prefix":[2,4]}')
     assert code == 0

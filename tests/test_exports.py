@@ -14,7 +14,7 @@ PACKAGE = ROOT / "src" / "limitper"
 
 KEEP = {
     "is_generator": "ROADMAP item 7: the hull output prints its witness",
-    "periodize": "ROADMAP item 10: the coset-mean approximant beside the centred one",
+    "periodize": "ROADMAP acceptance criterion 10 (test_criterion_10_periodization) is about it",
 }
 
 

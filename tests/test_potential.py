@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -468,9 +467,10 @@ def test_iid_sites_are_the_seeded_draws_of_the_manifest_rule():
 
 
 def test_potential_is_a_stored_period_and_seeded_noise_its_subclass():
-    fields = [f.name for f in dataclasses.fields(Potential)]
-    assert fields == ["kind", "base", "generator", "sampling", "tails", "values"]
+    fields = ["kind", "base", "generator", "sampling", "tails", "values"]
+    assert list(vars(Potential("periodic", values=(1.0,)))) == fields
     pot = iid_uniform_potential(7, -1.0, 2.0)
+    assert list(vars(pot)) == fields + ["seed", "low", "high"]
     assert isinstance(pot, NoisePotential) and isinstance(pot, Potential)
     assert (pot.kind, pot.seed, pot.low, pot.high) == ("iid", 7, -1.0, 2.0)
     assert (pot.period, pot.chain, pot.depth, pot.base, pot.generator) == (None, None, None, 0, 1)
