@@ -302,9 +302,16 @@ def cmd_classify(config: ExperimentConfig) -> None:
     comparison = hulls_isomorphic(a, b)
     if comparison.isomorphic:
         cert = {"forward": comparison.forward, "backward": comparison.backward}
+        # a forward pair is (entry of a, entry of b), a backward pair the reverse
+        sided = ((comparison.forward, "ab"), (comparison.backward, "ba"))
+        entries = [entry for pairs, sides in sided for pair in pairs for entry in zip(sides, pair)]
     else:
         side, entry = comparison.blocker
         cert = {"blocker": {"side": side, "entry": entry}}
+        entries = [comparison.blocker]
+    for side, entry in entries:
+        with _blame("chain" if side == "a" else "chain_b"):
+            _printable(entry, "a certificate entry")
     out = {
         "config_hash": config.config_hash(),
         "isomorphic": comparison.isomorphic,

@@ -298,74 +298,63 @@ def _pivot_product(values: Sequence[float], E: float) -> float:
     return det
 
 
+def _count_flip(dirichlet: Sequence[float], k: int, lo: float, hi: float) -> float:
+    """Where bisection of ``[lo, hi]`` on "at least k eigenvalues at or below E" ends."""
+    return _bisect(lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1, lo, hi)
+
+
 def _flip_point(
     dirichlet: Sequence[float],
     k: int,
     left: tuple[float, int, float],
     right: tuple[float, int, float],
 ) -> float:
-    """Where bisection of ``[a, b]`` on "at least k eigenvalues at or below E" ends.
+    """``_count_flip`` of ``[a, b]``, read from determinant signs alone.
 
-    The eigenvalues are those of ``dirichlet``; ``left`` and ``right`` are
-    ``(E, count, det)`` at a and b.  The count is monotone in E, and a
-    midpoint lies strictly between two floats while a float does, so the
-    bisection ends on the midpoint of the flip point, the least float of
-    ``(a, b]`` whose count is at least k (b if none is), and the float below
-    it.  The search returns that midpoint.  The count at each guess decides
-    which end it replaces; the determinants only propose the guess, by a
+    ``left`` and ``right`` are ``(E, count, det)`` at a and b, with counts
+    k - 1 and k.  The count is monotone in E, and a midpoint lies strictly
+    between two floats while a float does, so the bisection ends on the
+    midpoint of the flip point, the least float of ``(a, b]`` whose count is
+    at least k, and the float below it, from any bracket that holds the flip
+    point.  Every count inside ``[a, b]`` is k - 1 or k, and the sign of the
+    determinant, ``(-1)**count``, tells which: a guess takes
+    ``_pivot_product`` alone.  The determinants also propose the guess, by a
     secant step with the Anderson-Bjorck scaling of an end kept twice (BIT 13,
     1973).  A guess that lands on an end (its determinant is tiny beside the
     other) moves to that end's neighbouring float.  The guess is the midpoint
-    when a determinant is zero or not finite, when the two are equal (an end
-    count is off), and after three guesses in a row have failed to halve the
-    bracket.
-
-    Where the end counts are exactly k - 1 and k, the count being monotone
-    puts every count inside at k - 1 or k, and the sign of the determinant,
-    ``(-1)**count``, tells which: a guess takes ``_pivot_product`` alone.  A
-    zero pivot, or a product that is 0, infinite or NaN, takes the count from
-    ``_sturm_det`` instead, at that guess and every later one, since a
-    product past the float range stays past it nearby.
+    when a determinant is zero or not finite, and after three guesses in a
+    row have failed to halve the bracket.  A guess with a zero pivot, or a
+    product that is 0, infinite or NaN, ends the secant, and the bracket
+    reached so far is bisected on counts.
     """
-    a, ca, fa = left
-    b, cb, fb = right
-    by_sign = ca == k - 1 and cb == k
+    a, _, fa = left
+    b, _, fb = right
     odd = k % 2 == 1  # a determinant below 0 has an odd count
     kept = 0  # 1 when b moved last, -1 when a did
     stalled = 0  # guesses since the bracket last halved
     halved_at = b - a
-    while True:
-        mid = _midpoint(a, b)
-        if not a < mid < b:
-            return mid
-        x = mid
-        if stalled < 3 and 0.0 < abs(fa) < math.inf and 0.0 < abs(fb) < math.inf and fa != fb:
+    while a < (x := _midpoint(a, b)) < b:
+        if stalled < 3 and 0.0 < abs(fa) < math.inf and 0.0 < abs(fb) < math.inf:
             x = b - fb * ((b - a) / (fb - fa))
             if x >= b:
                 x = math.nextafter(b, a)
             elif x <= a:
                 x = math.nextafter(a, b)
-        f = math.nan
-        if by_sign:
-            try:
-                f = _pivot_product(dirichlet, x)
-            except ZeroDivisionError:
-                pass
-        if 0.0 < abs(f) < math.inf:
-            at_least_k = (f < 0.0) == odd
-        else:
-            by_sign = False
-            c, f = _sturm_det(dirichlet, x)
-            at_least_k = c >= k
-        if at_least_k:
+        try:
+            f = _pivot_product(dirichlet, x)
+        except ZeroDivisionError:
+            break
+        if not 0.0 < abs(f) < math.inf:
+            break
+        if (f < 0.0) == odd:
             if kept == 1:
-                scale = 1.0 - f / fb if fb else 0.0
+                scale = 1.0 - f / fb
                 fa *= scale if scale > 0.0 else 0.5
             b, fb = x, f
             kept = 1
         else:
             if kept == -1:
-                scale = 1.0 - f / fa if fa else 0.0
+                scale = 1.0 - f / fa
                 fb *= scale if scale > 0.0 else 0.5
             a, fa = x, f
             kept = -1
@@ -373,6 +362,7 @@ def _flip_point(
             halved_at, stalled = b - a, 0
         else:
             stalled += 1
+    return _count_flip(dirichlet, k, a, b)
 
 
 def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
@@ -386,19 +376,18 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     midpoint.  Every fence sees the same midpoints and the same counts as its
     own bisection from ``[-outer, outer]``.
 
-    A bracket left with one fence k is not bisected on counts.  The floating
-    point Sturm count is monotone in E (Kahan 1966; Demmel, Dhillon and Ren
-    1995), so ``_flip_point`` returns where that bisection ends from a
-    safeguarded secant on the determinant, mostly without counts: where the
-    bracket's end counts are k - 1 and k, so is every count inside it, and
-    the determinant's sign tells which.  So the fences are bitwise those of
-    p - 1 separate bisections.  At p = 256 on the sawtooth tower a fence takes
+    A bracket left with one fence k whose end counts are k - 1 and k is not
+    bisected on counts.  The floating point Sturm count is monotone in E
+    (Kahan 1966; Demmel, Dhillon and Ren 1995), so ``_flip_point`` returns
+    where that bisection ends from a safeguarded secant on the determinant,
+    whose sign gives the count.  So the fences are bitwise those of p - 1
+    separate bisections.  At p = 256 on the sawtooth tower a fence takes
     about 8 passes over the period, 7 of them without the count.
 
     Monotonicity needs pivots that do not overflow, so a fence is bisected on
-    counts instead when ||V|| is within a factor 2 of the float range.  Other
-    end counts, as where ``3 + ||V||`` rounds to ||V|| and ``(-1e20, 0.0, 5.0)``
-    counts 1 at -outer, cost ``_flip_point`` a count at every guess.
+    counts instead when ||V|| is within a factor 2 of the float range, and so
+    is one whose end counts are off, as where ``3 + ||V||`` rounds to ||V||
+    and ``(-1e20, 0.0, 5.0)`` counts 1 at -outer.
     """
     p = len(vals)
     outer = 3.0 + max(abs(v) for v in vals)
@@ -418,11 +407,10 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
             continue
         if first == last:
             k = first
-            if searchable:
+            if searchable and left[1] == k - 1 and right[1] == k:
                 fences[k] = _flip_point(dirichlet, k, left, right)
             else:
-                above = lambda e: 1 if eigenvalue_count(dirichlet, e) >= k else -1
-                fences[k] = _bisect(above, lo, hi)
+                fences[k] = _count_flip(dirichlet, k, lo, hi)
             continue
         at_mid = (mid, *_sturm_det(dirichlet, mid))
         c = at_mid[1]

@@ -3,6 +3,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,9 +288,18 @@ def test_an_entry_too_long_to_print_is_refused_at_its_field(capsys):
     orbit = ("orbit", "--chain", DYADIC, "--k", "1", "--steps", "1")
     code, out, _ = run(capsys, *orbit, "--level", "14284")
     assert code == 0 and json.loads(out)["modulus"] == 2**14284
+    # 2**14000 is accepted, but a classify certificate on it holds 2**28001 (a
+    # witness, or the blocker on side a), refused at the chain it belongs to
+    ruled = json.dumps({"prefix": [2], "rule": [2**14000]})
+    classify = ("classify", "--chain", ruled, "--chain-b")
     too_long = (
         ("level", orbit + ("--level", "14285")),
         ("depth", ("maximal-chain", "--chain", DYADIC, "--depth", "14285")),
+        ("chain", classify + (ruled,)),
+        ("chain", classify + (json.dumps({"prefix": [2**14001]}),)),
+        # a's entries stay printable, but b's third is in a backward pair
+        ("chain_b", ("classify", "--chain", json.dumps({"prefix": [2], "rule": [2**2000]}),
+                     "--chain-b", ruled)),
     )
     for field, argv in too_long:
         code, out, err = run(capsys, *argv)
@@ -596,6 +607,32 @@ def test_default_and_explicit_value_give_identical_bytes(tmp_path, capsys):
         assert run(capsys, *argv, *extra)[0] == 0
         files.append(out.read_bytes())
     assert files[0] == files[1]  # the default is part of the hashed config
+
+
+def test_identical_configs_give_identical_bytes_under_any_hash_seed(tmp_path):
+    # PYTHONHASHSEED changes str hashes, and so the order of a set of str,
+    # from process to process; identical configs still give identical bytes
+    calls = (
+        ("classify", "--chain", '{"prefix":[6,30],"rule":[77]}',
+         "--chain-b", '{"prefix":[210],"rule":[11,7]}'),
+        ("maximal-chain", "--chain", '{"prefix":[2,60],"rule":[210]}', "--depth", "8"),
+        ("quotient", "--chain", '{"prefix":[6],"rule":[6,35]}', "--target", '{"prefix":[2,6]}'),
+        ("gordon", "--potential", '{"kind":"iid"}', "--q", "2,3,4"),
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "out.json"
+    for argv in calls:
+        runs = []
+        for hash_seed in ("0", "1"):
+            out.unlink(missing_ok=True)
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+            done = subprocess.run(
+                [sys.executable, "-m", "limitper.cli", *argv, "--out", str(out)],
+                capture_output=True, env=env, check=True,
+            )
+            runs.append((done.stdout, out.read_bytes()))
+        assert runs[0] == runs[1], argv[0]
 
 
 # Objects for the chain and potential fields, valid and broken.  Finite chains

@@ -343,6 +343,19 @@ def test_dirichlet_fences_need_at_most_8_5_sturm_passes_per_fence(monkeypatch):
     assert sum(calls.values()) <= 8.5 * (len(vals) - 1)
 
 
+def test_dirichlet_fences_need_at_most_12_passes_per_fence_on_a_strongly_varying_period(
+    monkeypatch,
+):
+    # V uniform in [-4, 4] has exponentially narrow bands and wide gaps, unlike
+    # the sawtooth; the fences took 11.36 passes each when this bound was set
+    rng = random.Random(1)
+    vals = tuple(rng.uniform(-4.0, 4.0) for _ in range(256))
+    names = ("eigenvalue_count", "_sturm_det", "_pivot_product")
+    calls = _count_calls(monkeypatch, spectral, names)
+    spectral._dirichlet_fences(vals)
+    assert sum(calls.values()) <= 12 * (len(vals) - 1)
+
+
 def test_dirichlet_fences_match_separate_bisections_when_end_counts_do_not_straddle(monkeypatch):
     # The outlying -10 and 10 put fences 1 and p - 1 in brackets that end at
     # -outer and outer, the only ends whose counts the multisection never uses.
@@ -374,6 +387,10 @@ def test_dirichlet_fences_match_separate_bisections_where_an_eigenvalue_lies_at_
     ends = (eigenvalue_count(dirichlet, -outer), eigenvalue_count(dirichlet, outer))
     assert ends != (0, len(dirichlet))
     assert _hexes(_dirichlet_fences(vals)) == _hexes(_old_fences(vals))
+    # the secant reads counts from signs only, so it searches only brackets
+    # that straddle k; every other bracket is bisected on counts
+    searches = _isolating_brackets(vals)
+    assert searches and all((left[1], right[1]) == (k - 1, k) for k, left, right in searches)
 
 
 def _isolating_brackets(vals):
@@ -413,7 +430,7 @@ def test_flip_point_ends_where_bisection_on_counts_ends(vals, scale):
 
 def test_dirichlet_fences_fall_back_to_counts_where_the_pivot_product_overflows(monkeypatch):
     # |V| up to 50 over 299 Dirichlet sites puts |det(H - E)| past the float
-    # range at every guess, so each search takes its counts from _sturm_det.
+    # range at every guess, so each search bisects on counts from its first guess.
     rng = random.Random(1)
     vals = tuple(rng.uniform(-50.0, 50.0) for _ in range(300))
     product, overflowed = spectral._pivot_product, []
