@@ -10,8 +10,9 @@ Infinite chains are represented finitely as a prefix plus a cyclic ratio rule:
 after the prefix, consecutive ratios repeat the rule forever.  This makes the
 classification decidable and every reported quantity exactly computable.
 Only the order is factored, from the first entry and the ratios; the level at
-which an entry first divides another chain's entries is found by gcd growth,
-so witnesses and blockers need no factorization however deep they lie.
+which an entry first divides another chain's entries is found by dividing the
+ratios out of the part of it still missing, so witnesses and blockers need no
+factorization however deep they lie.
 """
 
 import cmath
@@ -166,23 +167,25 @@ def maximal_chain(chain: FrequencyChain, depth: Optional[int] = None) -> Frequen
 def first_level_divisible(chain: FrequencyChain, n: int) -> Optional[int]:
     """Smallest level j with n dividing the j-th entry, or None when no level works.
 
-    Past the prefix a full rule cycle multiplies an entry by the product of the
-    rule, so when a cycle leaves ``gcd(n, n_j)`` unchanged, the part of n still
-    missing shares no prime with the rule and no later entry supplies it.
-    Nothing is factored, so n may be far past any factoring limit.
+    Past the prefix each level multiplies the entry by a rule ratio r, and the
+    part of n the entry still misses loses ``gcd(missing, r)``; n divides the
+    entry once nothing is missing.  A full rule cycle that removes nothing
+    leaves a part that shares no prime with the rule, so no later entry
+    supplies it.  The walk holds only the missing part, never the entry, and
+    nothing is factored, so n may be far past any factoring limit.
     """
     for j, value in enumerate(chain.prefix, start=1):
         if value % n == 0:
             return j
     if not chain.rule:
         return None
-    j, value, cycle_gcd = len(chain.prefix), chain.prefix[-1], None
-    while (g := math.gcd(n, value)) != cycle_gcd:
-        cycle_gcd = g
+    j, missing, before = len(chain.prefix), n // math.gcd(n, chain.prefix[-1]), None
+    while missing != before:
+        before = missing
         for r in chain.rule:
-            value *= r
+            missing //= math.gcd(missing, r)
             j += 1
-            if value % n == 0:
+            if missing == 1:
                 return j
     return None
 

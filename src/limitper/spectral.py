@@ -9,7 +9,8 @@ spectra come from the discriminant (trace of the one-period transfer matrix): th
 spectrum is exactly ``{E : |Delta(E)| <= 2}``.  Delta runs the two-solution
 recurrence over the period in a plain loop, the same arithmetic as the
 transfer product without its per-step rescale test, and falls back to the
-rescaled product only when one period grows past the rescale threshold.  Each
+rescaled product only when one period overflows, scaling its trace back by
+the power of two it was rescaled by.  Each
 band is bracketed by two neighbouring Dirichlet eigenvalues (one per gap),
 found together by multisection on the Sturm count: fences still sharing a
 bracket share each count.  A fence alone in its bracket ends where bisection
@@ -21,10 +22,11 @@ This relies on the count being monotone in E, which a zero pivot nudged to
 -5e-324 keeps, so only fences where it need not be (for ||V|| near the float
 range) are bisected on counts.  The two edges of a gap come from a quadratic
 model of Delta at its fence, each checked to lie within tol/2 of where
-``|Delta| <= 2`` changes and polished by Newton steps only if that check
-fails; the outer edges, and a gap whose check still fails, are bisected on
-Delta.  Both evaluate Delta by its recurrence, which stays stable where
-explicit polynomial coefficients would not.  The integrated density of
+``|Delta| <= 2`` changes and polished only if that check fails, by Newton
+steps from the two values of Delta the check computed; the outer edges, and
+a gap whose check still fails, are bisected on Delta.  Both evaluate Delta
+by its recurrence, which stays stable where explicit polynomial
+coefficients would not.  The integrated density of
 states uses the symmetric tridiagonal inertia count, O(N) per energy with
 integer-valued counts; sites with no stored period are read once, in chunks,
 each chunk advancing every energy's count.  On a window that holds its
@@ -34,7 +36,6 @@ and the O(N) count runs only where the certificate fails.
 """
 
 import math
-import sys
 from collections import namedtuple
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -45,7 +46,6 @@ from .potential import PeriodicWindow, Potential, read_window
 _RESCALE = 2.0**512
 _RESCALE_LOG = 512.0 * math.log(2.0)
 _LOG_2 = math.log(2.0)
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class TransferState(NamedTuple):
@@ -91,14 +91,9 @@ def transfer_product(
             continue
         if not (abs(m11) < math.inf and abs(m12) < math.inf):
             return _prescaled_transfer(V, E, n_start, n_end)
-        mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
-        while mag > _RESCALE:
-            m11 /= _RESCALE
-            m12 /= _RESCALE
-            m21 /= _RESCALE
-            m22 /= _RESCALE
-            log_scale += _RESCALE_LOG
-            mag /= _RESCALE
+        # a finite entry is below 2**1024, so one division brings it within R
+        m11, m12, m21, m22 = m11 / R, m12 / R, m21 / R, m22 / R
+        log_scale += _RESCALE_LOG
     return TransferState(m11, m12, m21, m22, log_scale)
 
 
@@ -151,9 +146,10 @@ def discriminant(vals: Sequence[float], E: float) -> float:
     u(n-1)``: phi runs down (m11, m21) and theta down (m12, m22), with the same
     operations in the same order as ``transfer_product``, so the trace
     ``phi + theta_prev`` is bitwise its value whenever that product never
-    rescales.  A period whose entries end above the rescale threshold (or
-    overflow) is redone by the rescaled product; a trace past the float range
-    comes back as a signed infinity.
+    rescales, and is kept whenever both its terms are finite.  A period where
+    one overflows is redone by the rescaled product.  That product rescales
+    by powers of two only, so ``math.ldexp`` scales its trace back with no
+    rounding; a trace past the float range comes back as a signed infinity.
     """
     if not vals:
         raise ValueError("period values must be nonempty")
@@ -162,20 +158,14 @@ def discriminant(vals: Sequence[float], E: float) -> float:
         a = E - v
         phi, phi_prev = a * phi - phi_prev, phi
         theta, theta_prev = a * theta - theta_prev, theta
-    # NaN fails every comparison, so this also catches an overflowed product.
-    R = _RESCALE
-    if -R <= phi <= R and -R <= phi_prev <= R and -R <= theta <= R and -R <= theta_prev <= R:
+    if abs(phi) < math.inf and abs(theta_prev) < math.inf:  # NaN fails too
         return phi + theta_prev
     state = transfer_product(vals.__getitem__, E, 0, len(vals))
     trace = state.m11 + state.m22
-    if trace == 0.0:
-        return trace
-    log_mag = math.log(abs(trace)) + state.log_scale
-    if log_mag > _LOG_FLOAT_MAX:
+    try:
+        return math.ldexp(trace, round(state.log_scale / _LOG_2))
+    except OverflowError:
         return math.copysign(math.inf, trace)
-    if state.log_scale < _LOG_FLOAT_MAX:
-        return trace * math.exp(state.log_scale)
-    return math.copysign(math.exp(log_mag), trace)
 
 
 class BandSet(namedtuple("BandSet", "intervals")):
@@ -447,22 +437,6 @@ def _taylor2(vals: tuple[float, ...], E: float) -> Optional[tuple[float, float, 
     return None
 
 
-def _taylor1(vals: tuple[float, ...], E: float) -> Optional[tuple[float, float]]:
-    """Delta and Delta' at E, or None where an entry ends past 2**512."""
-    f, f0, g, g0 = 1.0, 0.0, 0.0, 1.0
-    f1 = f10 = g1 = g10 = 0.0
-    for v in vals:
-        a = E - v
-        f1, f10 = a * f1 + f - f10, f1
-        g1, g10 = a * g1 + g - g10, g1
-        f, f0 = a * f - f0, f
-        g, g0 = a * g - g0, g
-    R = _RESCALE
-    if all(-R <= m <= R for m in (f, f0, g, g0, f1, f10, g1, g10)):
-        return f + g0, f1 + g10
-    return None
-
-
 def _gap_edges(
     vals: tuple[float, ...], lo: float, mu: float, hi: float, tol: float
 ) -> Optional[tuple[float, float]]:
@@ -473,7 +447,10 @@ def _gap_edges(
     root each side of mu.  A root e passes if ``lo + tol/2 < e < hi - tol/2``
     and the float test ``|Delta| <= 2`` holds tol/2 into the band beside it
     and fails tol/2 into the gap.  Only a root that fails is polished, by up
-    to three Newton steps on Delta, each checked again.  The pair is kept if
+    to three Newton steps, each checked again.  A step reads Delta and its
+    slope at e from the check's two values tol/2 either side of e, their mean
+    and their central difference, so it costs no Delta beyond the check's.
+    A root out of range or NaN fails at once.  The pair is kept if
     both pass and ``l <= mu <= r``: then each edge lies within tol/2 of a
     change of the test, in the band beside it, as bisection would leave it.
     A wide gap, where the quadratic is a poor model, fails these checks.
@@ -491,21 +468,19 @@ def _gap_edges(
     if q == 0.0:
         return None
     half = 0.5 * tol
-    inside = lambda e: abs(discriminant(vals, e)) <= 2.0
-    passes = lambda e, into: lo + half < e < hi - half and inside(e + into) and not inside(e - into)
     edges = []
     for h, into in zip(sorted((q / a, c / q)), (-half, half)):  # into the edge's band
         e = mu + h
-        for _ in range(3):  # a NaN or infinite e fails the range, then _taylor1
-            if passes(e, into):
+        for steps in range(4):
+            if not lo + half < e < hi - half:  # also refuses NaN
+                return None
+            d_in, d_out = discriminant(vals, e + into), discriminant(vals, e - into)
+            if abs(d_in) <= 2.0 and not abs(d_out) <= 2.0:
                 break
-            step = _taylor1(vals, e)
-            if step is None or step[1] == 0.0:
+            slope = (d_in - d_out) / (2.0 * into)
+            if steps == 3 or slope == 0.0:
                 return None
-            e -= (step[0] - target) / step[1]
-        else:
-            if not passes(e, into):
-                return None
+            e -= (0.5 * (d_in + d_out) - target) / slope
         edges.append(e)
     l, r = edges
     return (l, r) if l <= mu <= r else None
@@ -523,19 +498,19 @@ def bands(v_period: Sequence[float], tol: float = 1e-9) -> BandSet:
     fence off by ``tol`` could sit inside a neighbouring band.
 
     The two edges of gap j come from a quadratic model of Delta at mu_j
-    (``_gap_edges``), each polished by Newton steps only if it fails a check
-    that it lies within tol/2 of where the float test ``|Delta| <= 2``
-    changes.  Where the check still fails (a wide gap), and at the two outer
-    edges, the band's edges are bisected as follows.  Right of band j Delta has
+    (``_gap_edges``), each checked to lie within tol/2 of where the float
+    test ``|Delta| <= 2`` changes and, only where that fails, polished by
+    Newton steps from the check's two discriminants.  Where the check still
+    fails (a wide gap), and at the two outer edges, the band's edges are
+    bisected as follows.  Right of band j Delta has
     the sign ``(-1)**(p - j)``, left of it the opposite sign, so bisection on
     that sign finds a point inside the band, and bisection on |Delta| <= 2
     from that point out to each fence finds its edges to width ``tol``.  A
     model edge on the wrong side of that point, which its check allows when
     ``tol`` is coarse or the band narrow, is bisected too.  At p = 256 on the
-    sawtooth tower this takes about 0.10 s, with 5.5 discriminants and 0.4
-    first-order passes per band besides the model's pass (0.14 s polishing
-    every model edge first, 47 discriminants bisecting every edge; 2-core
-    x86_64).
+    sawtooth tower this takes about 0.07 s, with 5.5 discriminants per band
+    besides the model's pass, polishing included (47 bisecting every edge;
+    2-core x86_64, Python 3.11).
 
     Every band is found; bands separated by less than ``tol`` (a closed gap)
     merge into one interval.  The period is converted to a tuple of floats

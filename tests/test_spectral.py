@@ -184,11 +184,21 @@ def test_discriminant_past_float_range_is_signed_infinity():
     assert discriminant(v, -2.7) == math.inf
 
 
-def test_discriminant_after_a_rescale_matches_closed_form():
-    # 2 cosh(p arccosh(E/2)) is about 1e188 at p = 400: finite, but the
-    # product rescales on the way, so the value comes from the rescaled path.
+def test_discriminant_after_a_rescale_matches_closed_form(monkeypatch):
+    # 2 cosh(p arccosh(E/2)) is about 1e188 at p = 400: the transfer product
+    # rescales on the way, but the plain loop stays finite and runs no product.
+    calls = _count_calls(monkeypatch, spectral, ("transfer_product",))
     want = 2 * math.cosh(400 * math.acosh(1.65))
     assert discriminant([0.0] * 400, 3.3) == pytest.approx(want, rel=1e-10)
+    assert calls["transfer_product"] == 0
+
+
+def test_discriminant_rebuilds_an_overflowed_trace_exactly():
+    # phi overflows at the second site, so the trace comes from the rescaled
+    # product, and its power-of-two rescales are undone with no rounding.
+    vals = [-1e200, -1e200, -1e-200]
+    want = float(exact_delta(vals, 0.0))
+    assert abs(discriminant(vals, 0.0) - want) <= 2 * math.ulp(want)
 
 
 # Kernel equivalence: the tight kernels against the loops they replaced.
@@ -494,9 +504,10 @@ def test_dirichlet_fences_are_exact_count_changes_on_dyadic_periods(vals):
 
 def test_bands_golden_digest():
     # sha256 of every band edge's hex at levels 6-8 of the sawtooth tower read
-    # from base 37, recorded once each gap edge was polished only where its
-    # check failed and the exact edge gate (levels 3-7) and the numpy oracle
-    # had passed.
+    # from base 37, recorded once each gap edge was polished from its check's
+    # two discriminants, only where that check failed, and the exact edge
+    # gates (levels 3-7 and the dyadic periods), the numpy oracle and the
+    # benchmark oracle had passed.
     pot = sawtooth_potential(chain_make([2], [2]), 8, base=37)
     edges = " ".join(
         edge.hex()
@@ -505,7 +516,7 @@ def test_bands_golden_digest():
         for edge in interval
     )
     digest = hashlib.sha256(edges.encode()).hexdigest()
-    assert digest == "611fad8273cd8ffeb9161e076d6d2a0f58f6d712291e7f4b4c8b7489dbd71fc4"
+    assert digest == "2a7a188a266eb4820fbe9161b37d9bdafdc6b3ab6a51b88f3e6aec13e75a341a"
 
 
 def _assert_edges_are_exact_sign_changes(vals, band_set, tol):
@@ -555,7 +566,7 @@ def test_bands_bisect_the_wide_central_gap_where_the_model_fails(monkeypatch):
 
 
 def test_bands_need_at_most_10_discriminants_per_band(monkeypatch):
-    # Bisecting every edge took about 47; the model's own passes are not discriminant calls.
+    # Bisecting every edge took about 47; the model's quadratic pass is not a discriminant call.
     vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
     calls = _count_calls(monkeypatch, spectral, ("discriminant",))
     assert len(bands(vals, 1e-9).intervals) == len(vals)
@@ -563,11 +574,22 @@ def test_bands_need_at_most_10_discriminants_per_band(monkeypatch):
 
 
 def test_bands_polish_only_edges_that_fail_their_check(monkeypatch):
-    # Two Newton passes on both edges of every gap made about 4 per band.
+    # Two Newton steps on both edges of every gap made about 4 per band.  The
+    # checks of the raw roots take 4 discriminants a gap, and each step 2 more.
     vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
-    calls = _count_calls(monkeypatch, spectral, ("_taylor1",))
+    calls = _count_calls(monkeypatch, spectral, ("discriminant",))
+    model, in_model = spectral._gap_edges, []
+
+    def recorded(*args):
+        before = calls["discriminant"]
+        edges = model(*args)
+        in_model.append(calls["discriminant"] - before)
+        return edges
+
+    monkeypatch.setattr(spectral, "_gap_edges", recorded)
     assert len(bands(vals, 1e-9).intervals) == len(vals)
-    assert calls["_taylor1"] <= len(vals)
+    assert len(in_model) == len(vals) - 1
+    assert sum(in_model) <= 4 * len(in_model) + 2 * len(vals)
 
 
 def _gap_of_the_sawtooth(level, j):
@@ -581,34 +603,43 @@ def _is_gap_edge_pair(vals, l, r, half):
     return g(l - half) < 0 < g(l + half) and g(r - half) > 0 > g(r + half)
 
 
+def _checked_pairs(monkeypatch, vals, lo, mu, hi, half):
+    """``_gap_edges`` at tol = 2 half, and the energies of its discriminants in pairs."""
+    delta, probes = spectral.discriminant, []
+
+    def recorded(vals, E):
+        probes.append(E)
+        return delta(vals, E)
+
+    monkeypatch.setattr(spectral, "discriminant", recorded)
+    edges = spectral._gap_edges(vals, lo, mu, hi, 2 * half)
+    return edges, list(zip(probes[::2], probes[1::2]))
+
+
 def test_gap_edges_keep_raw_model_roots_that_pass_their_check(monkeypatch):
-    # Gap 7 at level 5 is 5.7e-5 wide, and both quadratic roots pass as they are.
+    # Gap 7 at level 5 is 5.7e-5 wide, and both quadratic roots pass as they
+    # are: each costs its check, Delta half into its band and half into the gap.
     vals, (lo, mu, hi) = _gap_of_the_sawtooth(5, 7)
-
-    def refused(vals, E):
-        raise AssertionError("an edge that passed its check was polished")
-
-    monkeypatch.setattr(spectral, "_taylor1", refused)
-    l, r = spectral._gap_edges(vals, lo, mu, hi, 1e-9)
+    half = 0.5e-9
+    (l, r), pairs = _checked_pairs(monkeypatch, vals, lo, mu, hi, half)
+    assert pairs == [(l - half, l + half), (r + half, r - half)]
     assert lo < l <= mu <= r < hi
-    assert _is_gap_edge_pair(vals, l, r, 0.5e-9)
+    assert _is_gap_edge_pair(vals, l, r, half)
 
 
 def test_gap_edges_polish_a_raw_model_root_that_fails_its_check(monkeypatch):
-    # Gap 5 at level 5: one quadratic root misses its check, and one Newton step fixes it.
+    # Gap 5 at level 5: one quadratic root misses its check, and one Newton
+    # step, from the two values of that check, fixes it.
     vals, (lo, mu, hi) = _gap_of_the_sawtooth(5, 5)
-    taylor1, polished = spectral._taylor1, []
-
-    def recorded(vals, E):
-        polished.append(E)
-        return taylor1(vals, E)
-
-    monkeypatch.setattr(spectral, "_taylor1", recorded)
-    l, r = spectral._gap_edges(vals, lo, mu, hi, 1e-9)
-    assert len(polished) == 1 and polished[0] not in (l, r)
-    raw = polished[0]
-    assert not _is_gap_edge_pair(vals, *((raw, r) if raw < mu else (l, raw)), 0.5e-9)
-    assert _is_gap_edge_pair(vals, l, r, 0.5e-9)
+    half = 0.5e-9
+    (l, r), pairs = _checked_pairs(monkeypatch, vals, lo, mu, hi, half)
+    final = [(l - half, l + half), (r + half, r - half)]
+    assert len(pairs) == 3 and all(pair in pairs for pair in final)
+    (failed,) = (pair for pair in pairs if pair not in final)
+    raw = spectral._midpoint(*failed)
+    assert raw not in (l, r)
+    assert not _is_gap_edge_pair(vals, *((raw, r) if raw < mu else (l, raw)), half)
+    assert _is_gap_edge_pair(vals, l, r, half)
 
 
 def test_bands_bisect_a_model_edge_that_lies_past_the_band_seed():
