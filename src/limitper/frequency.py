@@ -10,7 +10,8 @@ Infinite chains are represented finitely as a prefix plus a cyclic ratio rule:
 after the prefix, consecutive ratios repeat the rule forever.  This makes the
 classification decidable and every reported quantity exactly computable.
 Only the order is factored, from the first entry and the ratios; the level at
-which an entry first divides another chain's entries is found by dividing the
+which an entry first divides another chain's entries is found by bisection
+over whole rule cycles with modular powers, then by dividing that cycle's
 ratios out of the part of it still missing, so witnesses and blockers need no
 factorization however deep they lie.
 """
@@ -167,27 +168,38 @@ def maximal_chain(chain: FrequencyChain, depth: Optional[int] = None) -> Frequen
 def first_level_divisible(chain: FrequencyChain, n: int) -> Optional[int]:
     """Smallest level j with n dividing the j-th entry, or None when no level works.
 
-    Past the prefix each level multiplies the entry by a rule ratio r, and the
-    part of n the entry still misses loses ``gcd(missing, r)``; n divides the
-    entry once nothing is missing.  A full rule cycle that removes nothing
-    leaves a part that shares no prime with the rule, so no later entry
-    supplies it.  The walk holds only the missing part, never the entry, and
-    nothing is factored, so n may be far past any factoring limit.
+    Past the prefix, with m the part of n the last prefix entry misses and C
+    the rule's product, the entry c full rule cycles on is that entry times
+    C**c, so n divides it exactly when ``pow(C, c, m) == 0``.  Once that holds
+    it holds for every later c, and when every prime of m divides C it holds
+    by ``c = m.bit_length()``, past every exponent in m.  So bisection finds
+    the least such c, and a failure at that bound shows that no level works.
+    The level then lies in cycle c: from the entry c - 1 cycles on, each rule
+    ratio r removes ``gcd(missing, r)`` from the part still missing until
+    nothing is.  Only residues mod m are held, and nothing is factored, so n
+    may be far past any factoring limit.
     """
     for j, value in enumerate(chain.prefix, start=1):
         if value % n == 0:
             return j
     if not chain.rule:
         return None
-    j, missing, before = len(chain.prefix), n // math.gcd(n, chain.prefix[-1]), None
-    while missing != before:
-        before = missing
-        for r in chain.rule:
-            missing //= math.gcd(missing, r)
-            j += 1
-            if missing == 1:
-                return j
-    return None
+    m, C = n // math.gcd(n, chain.prefix[-1]), math.prod(chain.rule)
+    lo, hi = 0, m.bit_length()  # m > 1, so m misses C**0 = 1
+    if pow(C, hi, m) != 0:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pow(C, mid, m) == 0:
+            hi = mid
+        else:
+            lo = mid
+    missing = m // math.gcd(m, pow(C, lo, m))
+    for i, r in enumerate(chain.rule, start=1):
+        missing //= math.gcd(missing, r)
+        if missing == 1:  # by the cycle's last ratio at the latest
+            break
+    return len(chain.prefix) + lo * len(chain.rule) + i
 
 
 class HullComparison(NamedTuple):

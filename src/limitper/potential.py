@@ -361,7 +361,11 @@ _FAMILIES = {
 def _family_potential(
     kind: str, chain: FrequencyChain, depth: int, base: int, generator: int
 ) -> Potential:
-    """The explicit tower ``kind`` to ``depth``, read from ``base`` in steps of ``generator``."""
+    """The explicit tower ``kind`` to ``depth``, read from ``base`` in steps of ``generator``.
+
+    The base is stored as its residue mod ``n_depth``, as ``sampled_potential``
+    stores it, so bases that give the same sites give equal potentials.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     value, tail = _FAMILIES[kind]
@@ -371,7 +375,7 @@ def _family_potential(
             raise ValueError(f"period {n} too large to materialize")
         layers.append(PeriodicLayer(n, tuple(value(t, n, j) for t in range(n))))
     f = SamplingFunction(chain, tuple(layers), tail(chain, depth))
-    return _tower_potential(kind, f, base, generator, lambda level: tail(chain, level))
+    return _tower_potential(kind, f, base % n, generator, lambda level: tail(chain, level))
 
 
 def sawtooth_potential(

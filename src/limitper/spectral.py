@@ -21,10 +21,11 @@ count k - 1 and k, the determinant's sign alone tells the count at a guess.
 This relies on the count being monotone in E, which a zero pivot nudged to
 -5e-324 keeps, so only fences where it need not be (for ||V|| near the float
 range) are bisected on counts.  The two edges of a gap come from a quadratic
-model of Delta at its fence, each checked to lie within tol/2 of where
-``|Delta| <= 2`` changes and polished only if that check fails, by Newton
-steps from the two values of Delta the check computed; the outer edges, and
-a gap whose check still fails, are bisected on Delta.  Both evaluate Delta
+model of Delta at its fence, built from Delta there and a small step either
+side of it, each checked to lie within tol/2 of where ``|Delta| <= 2``
+changes and polished only if that check fails, by Newton steps from the two
+values of Delta the check computed; the outer edges, and a gap whose check
+still fails, are bisected on Delta.  Both evaluate Delta
 by its recurrence, which stays stable where explicit polynomial
 coefficients would not.  The integrated density of
 states uses the symmetric tridiagonal inertia count, O(N) per energy with
@@ -411,42 +412,18 @@ def _dirichlet_fences(vals: Sequence[float]) -> list[float]:
     return fences
 
 
-def _taylor2(vals: tuple[float, ...], E: float) -> Optional[tuple[float, float, float]]:
-    """Delta, Delta' and Delta'' at E, or None where an entry ends past 2**512.
-
-    The loop of ``discriminant``, with each solution's first and second
-    derivatives in E run alongside it: differentiating ``u(n+1) = a u(n) -
-    u(n-1)`` with ``da/dE = 1`` gives ``u'(n+1) = a u'(n) + u(n) - u'(n-1)`` and
-    ``u''(n+1) = a u''(n) + 2 u'(n) - u''(n-1)``.  The entries are tested at
-    the end, as in ``discriminant``: an overflow stays infinite or turns NaN,
-    and NaN fails the test.
-    """
-    f, f0, g, g0 = 1.0, 0.0, 0.0, 1.0
-    f1 = f10 = g1 = g10 = f2 = f20 = g2 = g20 = 0.0
-    for v in vals:
-        a = E - v
-        f2, f20 = a * f2 + 2.0 * f1 - f20, f2
-        g2, g20 = a * g2 + 2.0 * g1 - g20, g2
-        f1, f10 = a * f1 + f - f10, f1
-        g1, g10 = a * g1 + g - g10, g1
-        f, f0 = a * f - f0, f
-        g, g0 = a * g - g0, g
-    R = _RESCALE
-    if all(-R <= m <= R for m in (f, f0, g, g0, f1, f10, g1, g10, f2, f20, g2, g20)):
-        return f + g0, f1 + g10, f2 + g20
-    return None
-
-
 def _gap_edges(
     vals: tuple[float, ...], lo: float, mu: float, hi: float, tol: float
 ) -> Optional[tuple[float, float]]:
     """Edges (l, r) of the gap around the Dirichlet fence mu, or None where the model fails.
 
-    ``lo`` and ``hi`` are the fences either side of mu.  Delta's Taylor
-    quadratic at mu, set equal to 2 s with s the sign of Delta(mu), gives one
-    root each side of mu.  A root e passes if ``lo + tol/2 < e < hi - tol/2``
-    and the float test ``|Delta| <= 2`` holds tol/2 into the band beside it
-    and fails tol/2 into the gap.  Only a root that fails is polished, by up
+    ``lo`` and ``hi`` are the fences either side of mu.  Delta at mu - h, mu
+    and mu + h gives its slope and curvature at mu by central differences,
+    and the quadratic they make, set equal to 2 s with s the sign of
+    Delta(mu), gives one root each side of mu.  A Delta among the three that
+    is not finite fails the model.  A root e passes if
+    ``lo + tol/2 < e < hi - tol/2`` and the float test ``|Delta| <= 2`` holds
+    tol/2 into the band beside it and fails tol/2 into the gap.  Only a root that fails is polished, by up
     to three Newton steps, each checked again.  A step reads Delta and its
     slope at e from the check's two values tol/2 either side of e, their mean
     and their central difference, so it costs no Delta beyond the check's.
@@ -455,10 +432,13 @@ def _gap_edges(
     change of the test, in the band beside it, as bisection would leave it.
     A wide gap, where the quadratic is a poor model, fails these checks.
     """
-    taylor = _taylor2(vals, mu)
-    if taylor is None:
+    half = 0.5 * tol  # 0 at tol = 5e-324, where no check can step off e
+    # 2**-16 lost gaps to truncation at level 8, 2**-28 lost Delta calls to rounding
+    h = 2.0**-20 * max(1.0, abs(mu))
+    d_lo, d0, d_hi = (discriminant(vals, e) for e in (mu - h, mu, mu + h))
+    if not half or not all(map(math.isfinite, (d_lo, d0, d_hi))):
         return None
-    d0, d1, d2 = taylor
+    d1, d2 = (d_hi - d_lo) / (2.0 * h), (d_hi - 2.0 * d0 + d_lo) / (h * h)
     target = 2.0 if d0 > 0.0 else -2.0
     c, a = d0 - target, 0.5 * d2
     disc = d1 * d1 - 4.0 * a * c
@@ -467,10 +447,9 @@ def _gap_edges(
     q = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
     if q == 0.0:
         return None
-    half = 0.5 * tol
     edges = []
-    for h, into in zip(sorted((q / a, c / q)), (-half, half)):  # into the edge's band
-        e = mu + h
+    for root, into in zip(sorted((q / a, c / q)), (-half, half)):  # into the edge's band
+        e = mu + root
         for steps in range(4):
             if not lo + half < e < hi - half:  # also refuses NaN
                 return None
@@ -497,10 +476,11 @@ def bands(v_period: Sequence[float], tol: float = 1e-9) -> BandSet:
     Sturm-count bisections run to float resolution (``_dirichlet_fences``): a
     fence off by ``tol`` could sit inside a neighbouring band.
 
-    The two edges of gap j come from a quadratic model of Delta at mu_j
-    (``_gap_edges``), each checked to lie within tol/2 of where the float
-    test ``|Delta| <= 2`` changes and, only where that fails, polished by
-    Newton steps from the check's two discriminants.  Where the check still
+    The two edges of gap j come from a quadratic model of Delta at mu_j,
+    made from three discriminants (``_gap_edges``), each checked to lie
+    within tol/2 of where the float test ``|Delta| <= 2`` changes and, only
+    where that fails, polished by Newton steps from the check's two
+    discriminants.  Where the check still
     fails (a wide gap), and at the two outer edges, the band's edges are
     bisected as follows.  Right of band j Delta has
     the sign ``(-1)**(p - j)``, left of it the opposite sign, so bisection on
@@ -508,9 +488,9 @@ def bands(v_period: Sequence[float], tol: float = 1e-9) -> BandSet:
     from that point out to each fence finds its edges to width ``tol``.  A
     model edge on the wrong side of that point, which its check allows when
     ``tol`` is coarse or the band narrow, is bisected too.  At p = 256 on the
-    sawtooth tower this takes about 0.07 s, with 5.5 discriminants per band
-    besides the model's pass, polishing included (47 bisecting every edge;
-    2-core x86_64, Python 3.11).
+    sawtooth tower this takes about 0.085 s, with 8.5 discriminants per band,
+    the model's three a gap and the polishing included (47 bisecting every
+    edge; 2-core x86_64, Python 3.11).
 
     Every band is found; bands separated by less than ``tol`` (a closed gap)
     merge into one interval.  The period is converted to a tuple of floats

@@ -82,6 +82,22 @@ def test_synth_matches_library(tmp_path, capsys):
     assert manifest["config_hash"] == lines[0].split("=", 1)[1]
 
 
+def test_synth_writes_every_tower_base_as_its_residue(tmp_path, capsys):
+    # -3 and 1 are the same point of Z/4, the depth-2 level of [2]/[2]
+    out = tmp_path / "pot.csv"
+    tower = '"chain":{"prefix":[2],"rule":[2]},"base":-3'
+    layers = '{"period":2,"values":[0,0.125]},{"period":4,"values":[0,1,2,3]}'
+    for descriptor in (
+        '{"kind":"remark",' + tower + ',"depth":2}',
+        '{"kind":"metric",' + tower + ',"depth":2}',
+        '{"kind":"layers",' + tower + ',"layers":[' + layers + "]}",
+    ):
+        code, _, err = run(capsys, "synth", "--potential", descriptor, "--nmin", "0", "--nmax", "1",
+                           "--out", str(out))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "pot.csv.manifest.json").read_text())["base_point"] == 1
+
+
 def test_synth_of_layers_certifies_its_residual_bound(tmp_path, capsys):
     # the tolerance is the tower's own tail: an honest 1e-6 runs, and nothing else is asked for
     out = tmp_path / "pot.csv"
@@ -300,6 +316,9 @@ def test_an_entry_too_long_to_print_is_refused_at_its_field(capsys):
         # a's entries stay printable, but b's third is in a backward pair
         ("chain_b", ("classify", "--chain", json.dumps({"prefix": [2], "rule": [2**2000]}),
                      "--chain-b", ruled)),
+        # b's third entry, 2**28001, is the dyadic chain's 28,001st, and whole
+        # rule cycles at a time reach it well within a second
+        ("chain_b", ("classify", "--chain", DYADIC, "--chain-b", ruled)),
     )
     for field, argv in too_long:
         code, out, err = run(capsys, *argv)

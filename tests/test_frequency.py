@@ -159,6 +159,48 @@ def test_first_level_divisible_matches_the_factor_based_search(case):
     assert first_level_divisible(chain, n) == _first_level_by_factors(chain, n, n_factors)
 
 
+def _first_level_by_walk(chain, n):
+    """The level-by-level gcd walk that bisection over rule cycles replaced, frozen as an oracle."""
+    for j, value in enumerate(chain.prefix, start=1):
+        if value % n == 0:
+            return j
+    if not chain.rule:
+        return None
+    j, missing, before = len(chain.prefix), n // math.gcd(n, chain.prefix[-1]), None
+    while missing != before:
+        before = missing
+        for r in chain.rule:
+            missing //= math.gcd(missing, r)
+            j += 1
+            if missing == 1:
+                return j
+    return None
+
+
+def test_first_level_divisible_matches_the_level_by_level_walk():
+    rng = random.Random(20261021)
+    for _ in range(1500):
+        chain = random_chain(rng)
+        if rng.random() < 0.2:
+            chain = FrequencyChain(chain.prefix)
+        kind = rng.randrange(3)
+        if kind == 0:  # a deep entry's divisor times a small cofactor
+            entry = chain.nth_term(rng.randint(1, len(chain.prefix) + (40 if chain.rule else 0)))
+            n = math.gcd(entry, rng.randint(1, 10**12)) * rng.choice([1, 2, 3, 5, 7, 13])
+        elif kind == 1:  # a power of a rule ratio, maybe with a prime no ratio has
+            n = rng.choice(chain.rule or (2,)) ** rng.randint(1, 60) * rng.choice([1, 1, 17])
+        else:
+            n = rng.randint(1, 10**6)
+        assert first_level_divisible(chain, n) == _first_level_by_walk(chain, n), (chain, n)
+
+
+def test_first_level_divisible_of_a_deep_power():
+    # 98,001 levels deep, where a level-by-level walk takes seconds
+    assert first_level_divisible(chain_make([2], [2]), 2**98001) == 98001
+    # entry j holds 2**(1 + ceil((j - 1) / 2)), and 3 from entry 3 on
+    assert first_level_divisible(chain_make([2], [2, 3]), 2**5000 * 3) == 9998
+
+
 def test_certificate_witnesses_really_divide():
     a = chain_make([2], [2])
     b = chain_make([4], [4])

@@ -510,6 +510,13 @@ def test_noise_draws_never_seed_from_the_os(monkeypatch):
     assert None not in seeds and len(seeds) == 10
 
 
+def test_family_towers_store_their_base_as_its_residue():
+    # -1 and 255 are the same point of Z/256, so they read the same sites
+    for family in (sawtooth_potential, metric_potential):
+        pot = family(DYADIC, 8, base=-1)
+        assert pot == family(DYADIC, 8, base=255) and pot.base == 255
+
+
 def test_metric_tower_along_a_non_minimal_translation_alternates_at_every_level():
     # On the chain 2, 6, 18, ... the orbit 5 + 3n never meets a multiple of 3,
     # so every layer past the first is constant along it: the hull is Z/2.

@@ -504,10 +504,10 @@ def test_dirichlet_fences_are_exact_count_changes_on_dyadic_periods(vals):
 
 def test_bands_golden_digest():
     # sha256 of every band edge's hex at levels 6-8 of the sawtooth tower read
-    # from base 37, recorded once each gap edge was polished from its check's
-    # two discriminants, only where that check failed, and the exact edge
-    # gates (levels 3-7 and the dyadic periods), the numpy oracle and the
-    # benchmark oracle had passed.
+    # from base 37, recorded once each gap's model was built from three
+    # discriminants at mu and mu -+ h, and the exact edge gates (levels 3-7
+    # and the dyadic periods), the numpy oracle and the benchmark oracle had
+    # passed.
     pot = sawtooth_potential(chain_make([2], [2]), 8, base=37)
     edges = " ".join(
         edge.hex()
@@ -516,7 +516,7 @@ def test_bands_golden_digest():
         for edge in interval
     )
     digest = hashlib.sha256(edges.encode()).hexdigest()
-    assert digest == "2a7a188a266eb4820fbe9161b37d9bdafdc6b3ab6a51b88f3e6aec13e75a341a"
+    assert digest == "58c21c7d7a07afb209b40475df11457c4481262126467d065fd388193d7fecc5"
 
 
 def _assert_edges_are_exact_sign_changes(vals, band_set, tol):
@@ -566,7 +566,8 @@ def test_bands_bisect_the_wide_central_gap_where_the_model_fails(monkeypatch):
 
 
 def test_bands_need_at_most_10_discriminants_per_band(monkeypatch):
-    # Bisecting every edge took about 47; the model's quadratic pass is not a discriminant call.
+    # Bisecting every edge took about 47.  The model's three discriminants a
+    # gap count here, and the whole takes about 8.6 a band.
     vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
     calls = _count_calls(monkeypatch, spectral, ("discriminant",))
     assert len(bands(vals, 1e-9).intervals) == len(vals)
@@ -575,7 +576,8 @@ def test_bands_need_at_most_10_discriminants_per_band(monkeypatch):
 
 def test_bands_polish_only_edges_that_fail_their_check(monkeypatch):
     # Two Newton steps on both edges of every gap made about 4 per band.  The
-    # checks of the raw roots take 4 discriminants a gap, and each step 2 more.
+    # model takes 3 discriminants a gap, the checks of its raw roots 4 more,
+    # and each step 2 more.
     vals = tuple(sawtooth_potential(chain_make([2], [2]), 8).level_values(8))
     calls = _count_calls(monkeypatch, spectral, ("discriminant",))
     model, in_model = spectral._gap_edges, []
@@ -589,7 +591,7 @@ def test_bands_polish_only_edges_that_fail_their_check(monkeypatch):
     monkeypatch.setattr(spectral, "_gap_edges", recorded)
     assert len(bands(vals, 1e-9).intervals) == len(vals)
     assert len(in_model) == len(vals) - 1
-    assert sum(in_model) <= 4 * len(in_model) + 2 * len(vals)
+    assert sum(in_model) <= 7 * len(in_model) + 2 * len(vals)
 
 
 def _gap_of_the_sawtooth(level, j):
@@ -604,7 +606,10 @@ def _is_gap_edge_pair(vals, l, r, half):
 
 
 def _checked_pairs(monkeypatch, vals, lo, mu, hi, half):
-    """``_gap_edges`` at tol = 2 half, and the energies of its discriminants in pairs."""
+    """``_gap_edges`` at tol = 2 half, and the energies of its checks' discriminants in pairs.
+
+    The model's own three discriminants come first, at mu - h, mu and mu + h.
+    """
     delta, probes = spectral.discriminant, []
 
     def recorded(vals, E):
@@ -613,7 +618,10 @@ def _checked_pairs(monkeypatch, vals, lo, mu, hi, half):
 
     monkeypatch.setattr(spectral, "discriminant", recorded)
     edges = spectral._gap_edges(vals, lo, mu, hi, 2 * half)
-    return edges, list(zip(probes[::2], probes[1::2]))
+    h = 2.0**-20 * max(1.0, abs(mu))
+    assert probes[:3] == [mu - h, mu, mu + h]
+    checks = probes[3:]
+    return edges, list(zip(checks[::2], checks[1::2]))
 
 
 def test_gap_edges_keep_raw_model_roots_that_pass_their_check(monkeypatch):
@@ -700,6 +708,15 @@ def test_bands_and_spectrum_approx_refuse_a_nan_or_infinite_tol():
             bands([0.0, 1.0, 0.5], bad)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             spectrum_approx(pot, 2, bad)
+
+
+def test_bands_at_the_least_subnormal_tol_bisect_every_edge():
+    # tol/2 rounds to 0 there, so no model edge can be checked; a Newton step
+    # divided by it and raised ZeroDivisionError through ``spectrum``
+    vals = sawtooth_potential(chain_make([2], [2]), 4).level_values(3)
+    out = bands(vals, 5e-324)
+    assert len(out.intervals) == len(vals)
+    assert hausdorff_dist(out, bands(vals, 1e-9)) <= 1e-9
 
 
 def test_bands_and_discriminant_refuse_an_empty_or_non_finite_period():
@@ -1133,6 +1150,41 @@ def _per_step_transfer(V, E, n_start, n_end):
     return TransferState(m11, m12, m21, m22, log_scale)
 
 
+def _unbounded_log_size(V, E, n_start, n_end):
+    """log of the largest |entry| of ``transfer_product``'s float steps, with no exponent range.
+
+    Each number is a pair (m, e) for m * 2**e with 0.5 <= |m| < 1 or m = 0,
+    so every product and difference rounds to 53 bits as in floating point
+    but never overflows or underflows.  This is the oracle for a product that
+    leaves the float range: it judges the rescaling, not the conditioning of
+    the input.
+    """
+
+    def pair(x, e=0):
+        m, k = math.frexp(x)
+        return (m, e + k) if m else (0.0, 0)
+
+    def times(a, x):
+        m, k = math.frexp(a)
+        return pair(m * x[0], k + x[1])
+
+    def minus(x, y):
+        if not y[0]:
+            return x
+        if not x[0]:
+            return (-y[0], y[1])
+        e = max(x[1], y[1])
+        return pair(math.ldexp(x[0], x[1] - e) - math.ldexp(y[0], y[1] - e), e)
+
+    m11, m12, m21, m22 = pair(1.0), (0.0, 0), (0.0, 0), pair(1.0)
+    for n in range(n_start, n_end):
+        a = E - V(n)
+        m11, m21 = minus(times(a, m11), m21), m11
+        m12, m22 = minus(times(a, m12), m22), m12
+    m, e = max(((abs(m), e) for m, e in (m11, m12, m21, m22) if m), key=lambda x: (x[1], x[0]))
+    return math.log(m) + e * math.log(2.0)
+
+
 def _outcome(kernel, V, E, a, b):
     """Every field of the state, bitwise, or the text of the error raised."""
     try:
@@ -1158,11 +1210,14 @@ _wild_values = st.one_of(
     st.booleans(),
 )
 @example([1e150, 1.0, -1e150, -2.5, 7e149, 7e149], 4, 5, 45, False)
+# ill-conditioned: the same float steps are 1.0e-9 from the exact log size
+@example([-1.0, 1e200, 0.0, 0.0, 0.0, 858401230167749.0, 0.0, 0.0, 15076350661.0, 0.0], 0, 0, 22, False)
 def test_transfer_matches_the_per_step_kernel(vals, E, a, length, as_potential):
     """Rescales (gaps, |V| up to 1e150) decide as before, bitwise.
 
     A product the per-step kernel lets overflow (1e200) is rescaled before
-    each step instead, and has the size of the exact product.  An int E picks
+    each step instead, and has the size of the same float steps run with no
+    exponent range (``_unbounded_log_size``).  An int E picks
     a site value as the energy: a step with E = V(n) swaps the rows, so one
     column can stay small while only m12 passes the threshold.
     """
@@ -1176,8 +1231,8 @@ def test_transfer_matches_the_per_step_kernel(vals, E, a, length, as_potential):
         return
     assert "overflowed" in expect
     state = transfer_product(V, E, a, a + length)
-    want = transfer_log_size(vals, E, length, a)
-    assert state.log_scale + math.log(state.norm()) == pytest.approx(want, rel=1e-9)
+    want = _unbounded_log_size(per_site, E, a, a + length)
+    assert state.log_scale + math.log(state.norm()) == pytest.approx(want, rel=1e-13)
 
 
 def test_transfer_rescales_as_often_as_the_per_step_kernel():
